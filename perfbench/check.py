@@ -11,7 +11,7 @@ deterministic metrics, then a second seed to show the inputs change.
 ``sensitivity`` runs the workloads with and without each injected delay
 (see ``inject.py``) and prints how far each metric moved, against its
 bound, on the workload predicted to move and on the bypass workloads.  Results go to
-standard output as a table and, with ``--json PATH``, as JSON.
+standard output as tables.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ INJECTIONS = {
 
 #: Injected extra share of each layer's own time: large enough that the
 #: predicted metric must cross its bound if the layer matters as predicted.
-DEFAULT_INJECTIONS = ("solve:1.0", "evaluate_rules:1.0", "merge_1q:2.0", "to_dict:8.0")
+INJECTED_SHARES = {"solve": 1.0, "evaluate_rules": 1.0, "merge_1q": 2.0, "to_dict": 8.0}
 
 #: The end-to-end metric each injection is predicted to move.
 PREDICTED = {
@@ -84,16 +84,14 @@ def spread(values):
 
 def cmd_spread(args):
     runs = [run_once(args.workload, seed) for seed in seeds_of(args.seeds)]
-    report = {}
     print(f"{args.workload}: {len(runs)} seeds {args.seeds}")
     for metric in manifest()["end_to_end"]:
         values = [run[metric["name"]] for run in runs]
         middle, share = spread(values)
-        report[metric["name"]] = {"median": middle, "spread": share, "values": values}
         flag = "" if share < metric["bound"] / 3 else "  <-- above bound/3"
         print(f"  {metric['name']:<22} median {middle:.6g}  spread {share:.3f}  "
               f"bound {metric['bound']}{flag}")
-    return report
+        print("    " + " ".join(f"{value:.4g}" for value in values))
 
 
 def input_labels(workload, seed):
@@ -117,11 +115,6 @@ def cmd_repeat(args):
     first, second = run_once(args.workload, args.seed), run_once(args.workload, args.seed)
     traced = [run_once(args.workload, args.seed, 1) for _ in range(2)]
     other = run_once(args.workload, args.other_seed)
-    report = {"objective_nats_mean": [first["objective_nats_mean"],
-                                      second["objective_nats_mean"],
-                                      other["objective_nats_mean"]],
-              "result_kib_mean": [first["result_kib_mean"], second["result_kib_mean"],
-                                  other["result_kib_mean"]]}
     same = first["objective_nats_mean"] == second["objective_nats_mean"]
     print(f"{args.workload} seed {args.seed}: objective_nats_mean repeats: {same} "
           f"({first['objective_nats_mean']!r}); seed {args.other_seed}: "
@@ -134,47 +127,39 @@ def cmd_repeat(args):
     for name in sorted(traced[0]):
         if name.startswith(EXACT_PER_LAYER_PREFIXES) and not name.endswith("_per_s"):
             values = (traced[0][name], traced[1][name])
-            report[name] = list(values)
             print(f"  {name:<28} {'same' if values[0] == values[1] else 'DIFFERS'} "
                   f"{values[0]!r}")
-    return report
 
 
 def cmd_sensitivity(args):
     bounds = {m["name"]: m for m in manifest()["end_to_end"]}
-    seeds = seeds_of(args.seeds)
-    injections = dict(spec.partition(":")[::2] for spec in args.injections)
-    workloads = sorted({w for name in injections for group in INJECTIONS[name]
+    workloads = sorted({w for groups in INJECTIONS.values() for group in groups
                         for w in group})
     # Base and injected runs alternate per seed, so slow drift of the host
     # hits both sides alike.
     runs = {}
-    for seed in seeds:
+    for seed in seeds_of(args.seeds):
         for workload in workloads:
             runs.setdefault((workload, None), []).append(run_once(workload, seed))
-            for name, share in injections.items():
+            for name, share in INJECTED_SHARES.items():
                 if workload in INJECTIONS[name][0] + INJECTIONS[name][1]:
                     runs.setdefault((workload, name), []).append(
                         run_once(workload, seed, injections=[f"{name}:{share}"]))
-    report = {}
-    for name, share in injections.items():
+    for name, share in INJECTED_SHARES.items():
         moved, bypass = INJECTIONS[name]
         for workload in moved + bypass:
             role = "predicted" if workload in moved else "bypass"
             print(f"{name}:{share} on {workload} ({role}):")
-            entry = report.setdefault(f"{name}:{share}", {}).setdefault(workload, {})
             for metric, spec in bounds.items():
                 if metric == "setup_s":
                     continue
                 before = statistics.median(r[metric] for r in runs[(workload, None)])
                 after = statistics.median(r[metric] for r in runs[(workload, name)])
                 worse = (after - before) / before * (1 if spec["better"] == "lower" else -1)
-                entry[metric] = {"before": before, "after": after, "worse": worse}
                 mark = "PAST BOUND" if worse > spec["bound"] else "within"
                 star = " <- predicted" if workload in moved and metric == PREDICTED[name] else ""
                 print(f"  {metric:<22} {before:.6g} -> {after:.6g}  worse by {worse:+.1%} "
                       f"(bound {spec['bound']:.0%}) {mark}{star}")
-    return report
 
 
 def main():
@@ -188,16 +173,9 @@ def main():
     two.add_argument("--seed", type=int, default=1)
     two.add_argument("--other-seed", type=int, default=2)
     three = sub.add_parser("sensitivity")
-    three.add_argument("--injections", nargs="+", default=list(DEFAULT_INJECTIONS))
     three.add_argument("--seeds", default="1-3")
-    for command in (one, two, three):
-        command.add_argument("--json", default=None)
     args = parser.parse_args()
-    report = {"spread": cmd_spread, "repeat": cmd_repeat,
-              "sensitivity": cmd_sensitivity}[args.command](args)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
+    {"spread": cmd_spread, "repeat": cmd_repeat, "sensitivity": cmd_sensitivity}[args.command](args)
 
 
 if __name__ == "__main__":

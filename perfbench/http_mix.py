@@ -7,9 +7,10 @@ calls is the request latency.  Output checks, and in a traced run the job
 status reads and wire timings, happen between requests and outside the
 round trips.
 
-The requests run until their round trips add up to ``--seconds`` and the
-fixed prefix (:func:`inputs.http_prefix` requests, every suite pair once
-as a miss) is done.  The deterministic metrics, and the server's peak
+The requests run until their round trips add up to ``--seconds`` (in a
+traced run, until the loop has run that long) and the fixed prefix
+(:func:`inputs.http_prefix` requests, every suite pair once as a miss)
+is done.  The deterministic metrics, and the server's peak
 RSS, are taken over that prefix, so they do not depend on how many
 requests a run completes.
 """
@@ -92,6 +93,13 @@ class Session:
     # -- lifecycle --------------------------------------------------------
     def setup(self) -> None:
         self.schedule = http_schedule(self.seed)
+        # The loop is closed, so client and server never compute at once.
+        # Both run on one CPU (the server inherits this process's
+        # affinity), which spares each request the cross-CPU wake-ups whose
+        # latency on a shared VM host swings from tens of microseconds to
+        # milliseconds with the other tenants' load.
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
         command = [sys.executable, os.path.join(HERE, "serve.py")]
         for spec in self.injections:
             command += ["--inject", spec]
@@ -153,13 +161,17 @@ class Session:
         prefix_rss_mb = 0.0
         attempted = failed = 0
         busy = 0.0
+        loop_started = time.perf_counter()
         puts_before = self.store_puts() if trace else 0
         for pair, repeat in self.schedule:
             if attempted == prefix and not prefix_rss_mb:
                 prefix_rss_mb = self.server_peak_rss_mb()
                 if traced is not None:
                     traced.puts = self.store_puts() - puts_before
-            if busy >= seconds and attempted >= prefix:
+            # A traced request does more than a round trip, so a traced run
+            # stops on the loop's wall time.
+            spent = time.perf_counter() - loop_started if trace else busy
+            if spent >= seconds and attempted >= prefix:
                 break
             local = self.pairs.get(pair)
             attempted += 1

@@ -1,6 +1,6 @@
 """Run one workload of the repository benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload smt_solve --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload smt_solve --seed 1 --seconds 30 --trace 0
 
 The workloads, metrics, units and bounds are declared in
 ``BENCHMARK.json`` at the repository root; ``perfbench/DESIGN.md`` says
