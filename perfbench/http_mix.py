@@ -3,9 +3,10 @@
 A fresh ``python -m repro.server --workers 1`` runs on a fresh store for
 every worker.  One :class:`ReproClient` sends requests in a closed loop:
 submit, long-poll the result, decode it.  The round trip of those three
-calls is the request latency.  Output checks, and in a traced run the job
-status reads and wire timings, happen between requests and outside the
-round trips.
+calls, scaled to the host's nominal speed by reference runs right before
+and after it (see ``hostspeed``), is the request latency.  Output checks,
+and in a traced run the job status reads and wire timings, happen
+between requests and outside the round trips.
 
 The requests run until their round trips add up to ``--seconds`` (in a
 traced run, until the loop has run that long) and the fixed prefix
@@ -29,6 +30,7 @@ import time
 from collections import defaultdict
 from typing import Dict, List
 
+from hostspeed import at_nominal_speed, reference_seconds
 from inproc import MAX_UNATTRIBUTED_SHARE, PASSES, distinct_block_ratio, p90
 from inputs import generated_qasm, http_prefix, http_schedule
 from oracle import Oracle, objective_nats
@@ -93,13 +95,6 @@ class Session:
     # -- lifecycle --------------------------------------------------------
     def setup(self) -> None:
         self.schedule = http_schedule(self.seed)
-        # The loop is closed, so client and server never compute at once.
-        # Both run on one CPU (the server inherits this process's
-        # affinity), which spares each request the cross-CPU wake-ups whose
-        # latency on a shared VM host swings from tens of microseconds to
-        # milliseconds with the other tenants' load.
-        if hasattr(os, "sched_setaffinity"):
-            os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
         command = [sys.executable, os.path.join(HERE, "serve.py")]
         for spec in self.injections:
             command += ["--inject", spec]
@@ -176,6 +171,7 @@ class Session:
             local = self.pairs.get(pair)
             attempted += 1
             first = spans.mark()
+            before = reference_seconds()
             try:
                 with span("op"):
                     started = time.perf_counter()
@@ -195,7 +191,7 @@ class Session:
                 continue
             body_bytes = self.client.last_body_bytes
             busy += elapsed
-            latencies.append(elapsed)
+            latencies.append(at_nominal_speed(elapsed, before, reference_seconds()))
             reason = oracle.check(pair.label, local["circuit"], local["target"],
                                   result.adapted_circuit)
             if reason is not None:
@@ -221,7 +217,7 @@ class Session:
             errors.extend(traced.inconsistent)
         else:
             metrics = {
-                "throughput_per_s": len(latencies) / busy,
+                "throughput_per_s": len(latencies) / sum(latencies),
                 "latency_s_geomean": math.exp(statistics.fmean(
                     math.log(value) for value in latencies)),
                 "latency_s_p50": statistics.median(latencies),

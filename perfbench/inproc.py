@@ -15,6 +15,10 @@ outputs are checked, but their cost varies with the seed (about 2x for
 host's.  ``objective_nats_mean`` and ``result_kib_mean`` are deterministic
 for the code, so a tight bound on them catches any quality or size
 regression.
+
+Each timed compile is scaled to the host's nominal speed by reference
+runs taken right before and after it (see ``hostspeed``); the compile
+times behind every timing figure are these scaled times.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from collections import defaultdict
 from contextlib import nullcontext
 from typing import Dict, List
 
+from hostspeed import at_nominal_speed, reference_seconds
 from inputs import smt_cells, sweep_cells
 from oracle import Oracle, objective_nats
 from spans import WIRE_SPANS, Spans, self_times, time_wire, totals
@@ -112,6 +117,7 @@ def run(cells, seed: int, seconds: float, trace: bool, spans_path: str) -> Dict[
             break
         cell = cells[index]
         attempted += 1
+        before = reference_seconds()
         started = time.perf_counter()
         try:
             result = repro.compile(cell.circuit, cell.target, cell.technique,
@@ -124,7 +130,7 @@ def run(cells, seed: int, seconds: float, trace: bool, spans_path: str) -> Dict[
         elapsed = time.perf_counter() - started
         busy += elapsed
         if not cell.generated:
-            times[index].append(elapsed)
+            times[index].append(at_nominal_speed(elapsed, before, reference_seconds()))
         reason = oracle.check(cell.label, cell.circuit, cell.target,
                               result.adapted_circuit)
         if reason is not None:
@@ -149,8 +155,8 @@ def run(cells, seed: int, seconds: float, trace: bool, spans_path: str) -> Dict[
         # clusters from run to run.
         medians = [statistics.median(samples) for samples in times.values()]
         metrics = {
-            # Compiles over the time spent in them: the output checks run
-            # between the compiles and are not the program's work.
+            # Compiles over the (scaled) time spent in them: the output
+            # checks run between the compiles and are not the program's work.
             "throughput_per_s": (sum(len(samples) for samples in times.values())
                                  / sum(sum(samples) for samples in times.values())),
             "latency_s_geomean": math.exp(statistics.fmean(math.log(m) for m in medians)),

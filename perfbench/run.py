@@ -5,10 +5,13 @@
 The workloads, metrics, units and bounds are declared in
 ``BENCHMARK.json`` at the repository root; ``perfbench/DESIGN.md`` says
 why each was chosen.  This process only orchestrates: the measured work
-runs in ``worker.py`` subprocesses.  With ``--trace 0`` set-up is sampled
-:data:`SETUP_SAMPLES` times (set-up-only workers, then the measured
-worker) and ``setup_s`` is their median; each sample is the wall time
-from starting the worker to its ``READY`` line.
+runs in ``worker.py`` subprocesses, on the one CPU this process pins
+itself to.  With ``--trace 0`` set-up is sampled by :data:`SETUP_SAMPLES`
+set-up-only workers before the measured one, and ``setup_s`` is their
+median; each sample is the time from starting the worker to its
+``READY`` line, scaled to the host's nominal speed by reference runs
+right before the start and right after the worker's exit (see
+``hostspeed``).
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  Failures to run at all exit
@@ -28,6 +31,8 @@ import subprocess
 import sys
 import threading
 import time
+
+from hostspeed import at_nominal_speed, pin_to_one_cpu, reference_seconds
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -69,12 +74,14 @@ class _Lines:
 
 
 def run_worker(args, extra, deadline: float):
-    """Start one worker; returns (set-up seconds, outcome or None)."""
+    """Start one worker; returns its outcome, or with ``--setup-only`` the
+    set-up seconds at nominal speed."""
     command = [sys.executable, os.path.join(HERE, "worker.py"),
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)] + extra
     for spec in args.inject:
         command += ["--inject", spec]
+    before = reference_seconds()
     started = time.perf_counter()
     # Its own process group, so a timed-out worker is killed together with
     # the server it may have started.
@@ -93,7 +100,10 @@ def run_worker(args, extra, deadline: float):
             outcome = json.loads(line)
         if process.wait(timeout=max(1.0, deadline - time.monotonic())) != 0:
             raise WorkerError(f"worker exited with code {process.returncode}")
-        return setup, outcome
+        if outcome is not None:
+            return outcome
+        # The worker has exited, so the CPU is this process's again.
+        return at_nominal_speed(setup, before, reference_seconds())
     finally:
         try:
             os.killpg(process.pid, signal.SIGKILL)
@@ -114,6 +124,13 @@ def main() -> int:
     args = parser.parse_args()
     # Terminating the orchestrator unwinds it, so its workers get killed too.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+    # One CPU for everything: the reference runs that scale a timed call
+    # must run where the call ran.  The workers inherit it, and so does an
+    # ``http_mix`` server: that loop is closed, so client and server never
+    # compute at once, and each request is spared the cross-CPU wake-ups
+    # whose latency on a shared VM host swings from tens of microseconds
+    # to milliseconds with the other tenants' load.
+    pin_to_one_cpu()
 
     manifest_path = os.path.join(ROOT, "BENCHMARK.json")
     if not os.path.isdir(os.path.join(ROOT, "src", "repro")):
@@ -127,12 +144,9 @@ def main() -> int:
 
     deadline = time.monotonic() + args.seconds + WORKER_SLACK_S
     try:
-        setups = []
-        if not args.trace:
-            for _ in range(SETUP_SAMPLES - 1):
-                setups.append(run_worker(args, ["--setup-only"], deadline)[0])
-        setup, outcome = run_worker(args, [], deadline)
-        setups.append(setup)
+        setups = [run_worker(args, ["--setup-only"], deadline)
+                  for _ in range(0 if args.trace else SETUP_SAMPLES)]
+        outcome = run_worker(args, [], deadline)
     except (WorkerError, subprocess.TimeoutExpired, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
