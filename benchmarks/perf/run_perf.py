@@ -90,7 +90,7 @@ def main(argv=None) -> int:
         f"telemetry {telemetry['workload']} [{telemetry['technique']}]: "
         f"enabled {telemetry['enabled_overhead_percent']:+.1f}%, "
         f"disabled counter {telemetry['disabled_counter_ns']:.0f} ns/inc, "
-        f"helper {telemetry['disabled_helper_ns']:.0f} ns/call"
+        f"hook {telemetry['disabled_hook_ns']:.0f} ns/call"
     )
     resilience = report["resilience"]
     print(

@@ -346,15 +346,20 @@ def bench_trace(preset: Dict) -> Dict:
       live JSONL tracer versus tracing off (best-of timing on both
       sides);
     * ``disabled_overhead_percent`` — estimated cost of the dormant
-      hooks when tracing is off: the measured per-call cost of the
-      disabled fast path times the number of events a traced compile
-      emits, relative to the untraced compile time.
+      hooks when tracing and telemetry are off: the measured per-call
+      cost of the disabled :func:`repro.trace.event` hook times the
+      number of events a traced compile emits, relative to the untraced
+      compile time.
     """
     import os
     import tempfile
 
-    from repro.trace import load_events
-    from repro.trace.tracer import current_tracer
+    from repro.telemetry.registry import (
+        disable_telemetry,
+        enable_telemetry,
+        telemetry_enabled,
+    )
+    from repro.trace import event, load_events
 
     name, build = preset["compile_workloads"][0]
     circuit = build()
@@ -367,12 +372,19 @@ def bench_trace(preset: Dict) -> Dict:
         repeats,
     )
 
-    # Per-call cost of the disabled fast path (one flag read + return).
-    probe_calls = 200000
-    start = time.perf_counter()
-    for _ in range(probe_calls):
-        current_tracer()
-    disabled_hook_ns = 1e9 * (time.perf_counter() - start) / probe_calls
+    # Per-call cost of the disabled hook (one flag read + return); the
+    # registry is switched off for the probe so the hook is dormant.
+    was_enabled = telemetry_enabled()
+    disable_telemetry()
+    try:
+        probe_calls = 200000
+        start = time.perf_counter()
+        for _ in range(probe_calls):
+            event("bench.probe", "api")
+        disabled_hook_ns = 1e9 * (time.perf_counter() - start) / probe_calls
+    finally:
+        if was_enabled:
+            enable_telemetry()
 
     handle, path = tempfile.mkstemp(suffix=".jsonl", prefix="repro-bench-trace-")
     os.close(handle)
@@ -406,21 +418,24 @@ def bench_trace(preset: Dict) -> Dict:
 def bench_telemetry(preset: Dict) -> Dict:
     """Metric-registry overhead: disabled hook cost + enabled compile cost.
 
-    Two numbers back the telemetry subsystem's overhead claims:
+    Three numbers back the telemetry subsystem's overhead claims:
 
     * ``disabled_counter_ns`` — per-call cost of ``Counter.inc()`` with
-      telemetry off (one module-flag read and return), the hook that
-      sits on the SAT conflict loop;
+      telemetry off (one module-flag read and return);
+    * ``disabled_hook_ns`` — per-call cost of a realistic disabled
+      :func:`repro.trace.event` hook (a cache-lookup event with one
+      field), the single call each instrumented site makes;
     * ``enabled_overhead_percent`` — wall-time cost of compiling with
-      the registry live (pass timers, cache counters, solver flushes)
+      the registry live (pass timers, cache counters, solver events)
       versus telemetry off.
     """
-    from repro.telemetry.instruments import SOLVER_EVENTS, record_cache
+    from repro.telemetry.instruments import SOLVER_EVENTS
     from repro.telemetry.registry import (
         disable_telemetry,
         enable_telemetry,
         telemetry_enabled,
     )
+    from repro.trace import event
 
     name, build = preset["compile_workloads"][0]
     circuit = build()
@@ -439,8 +454,8 @@ def bench_telemetry(preset: Dict) -> Dict:
         disabled_counter_ns = 1e9 * (time.perf_counter() - start) / probe_calls
         start = time.perf_counter()
         for _ in range(probe_calls):
-            record_cache("l1", True)
-        disabled_helper_ns = 1e9 * (time.perf_counter() - start) / probe_calls
+            event("cache.hit", "api", level="memory")
+        disabled_hook_ns = 1e9 * (time.perf_counter() - start) / probe_calls
 
         disabled_seconds = _best_of(
             lambda: repro.compile(circuit, target, technique, use_cache=False),
@@ -460,7 +475,7 @@ def bench_telemetry(preset: Dict) -> Dict:
         "workload": name,
         "technique": technique,
         "disabled_counter_ns": disabled_counter_ns,
-        "disabled_helper_ns": disabled_helper_ns,
+        "disabled_hook_ns": disabled_hook_ns,
         "disabled_seconds": disabled_seconds,
         "enabled_seconds": enabled_seconds,
         "enabled_overhead_percent": (

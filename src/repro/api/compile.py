@@ -23,7 +23,6 @@ Both entry points also ingest OpenQASM 2.0 directly: a string that is a
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
@@ -45,8 +44,7 @@ from repro.resilience.budget import (
     budget_scope,
     current_budget,
 )
-from repro.telemetry.instruments import record_cache, record_compile
-from repro.trace.tracer import scoped_tracer
+from repro.trace.tracer import event, scoped_tracer, span
 
 BatchItem = Union[
     QuantumCircuit, str, Tuple[str, QuantumCircuit], "WorkloadSpec"
@@ -173,17 +171,16 @@ def compile(
         if use_cache and options_part is not None
         else None
     )
-    with scoped_tracer(trace) as tracer:
-        token = tracer.begin("compile", "api", technique=spec.key,
-                             circuit=circuit.name)
+    with scoped_tracer(trace):
+        compile_span = span("compile", "api", technique=spec.key,
+                            circuit=circuit.name)
         try:
             if use_cache:
                 cached = GLOBAL_CACHE.get(key)
                 if cached is not None:
-                    record_cache("l1", "hit")
-                    tracer.event("cache.hit", "api", level="memory")
+                    event("cache.hit", "api", level="memory")
                     return cached
-                record_cache("l1", "miss")
+                event("cache.miss", "api", level="memory")
                 store = persistent_store()
                 if store is not None and key is not None:
                     persisted = store.get(key)
@@ -193,10 +190,9 @@ def compile(
                         GLOBAL_CACHE.put(key, persisted)
                         if persisted.report is not None:
                             persisted.report = persisted.report.as_cache_hit()
-                        record_cache("l2", "hit")
-                        tracer.event("cache.hit", "api", level="persistent")
+                        event("cache.hit", "api", level="persistent")
                         return persisted
-                    record_cache("l2", "miss")
+                    event("cache.miss", "api", level="persistent")
 
             report = CompilationReport(
                 technique=spec.key,
@@ -207,30 +203,26 @@ def compile(
             )
             pipeline = spec.build_pipeline()
             try:
-                started = time.perf_counter()
                 with budget_scope(budget):
                     result = pipeline.run(circuit, target, technique=spec.key,
                                           options=options, report=report)
-                record_compile(spec.key, time.perf_counter() - started)
             except CompileInterrupted as error:
-                tracer.event("resilience.deadline", "api",
-                             technique=spec.key, reason=error.reason,
-                             checkpoint=error.checkpoint)
+                event("resilience.deadline", "api",
+                      technique=spec.key, reason=error.reason,
+                      checkpoint=error.checkpoint)
                 if (isinstance(error, CompileCancelled) or policy is None
                         or policy.on_deadline != "degrade"):
                     raise
                 return _degrade(circuit, target, spec, policy, error,
-                                use_cache=use_cache, tracer=tracer,
-                                options=options)
+                                use_cache=use_cache, options=options)
             if use_cache:
                 store_result(key, result)
             return result
         finally:
-            tracer.end(token)
+            compile_span.end()
 
 
-def _degrade(circuit, target, spec, policy, error, *, use_cache, tracer,
-             options):
+def _degrade(circuit, target, spec, policy, error, *, use_cache, options):
     """Walk the degradation ladder after ``error`` interrupted ``spec``.
 
     Each rung gets a short grace deadline (a fraction of the original
@@ -251,9 +243,9 @@ def _degrade(circuit, target, spec, policy, error, *, use_cache, tracer,
         rung_spec = resolve_technique(rung)
         rung_options = {name: value for name, value in options.items()
                         if name in rung_spec.option_names}
-        tracer.event("resilience.degrade", "api",
-                     from_technique=spec.key, to_technique=rung_spec.key,
-                     grace_seconds=grace, reason=last.reason)
+        event("resilience.degrade", "api",
+              from_technique=spec.key, to_technique=rung_spec.key,
+              grace_seconds=grace, reason=last.reason)
         try:
             # Re-enter the interrupted budget's scope so the rung's fresh
             # grace budget links to it as a parent: the original deadline

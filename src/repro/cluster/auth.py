@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.telemetry.instruments import record_auth
+from repro.trace.tracer import event
 
 __all__ = [
     "ApiKey",
@@ -343,30 +343,33 @@ class Authenticator:
 
         Returns the matched :class:`ApiKey` (or ``None`` when auth is
         not configured).  Raises an :class:`AuthError` subclass on
-        rejection; every path records ``repro_auth_requests_total``.
+        rejection; every decision is one ``auth.decision`` event (which
+        feeds ``repro_auth_requests_total``).
         """
         if not self._keys:
             return None
+        try:
+            key = self._admit(credential)
+        except AuthError as error:
+            event("auth.decision", "server", key=error.key_name,
+                  outcome=error.outcome)
+            raise
+        event("auth.decision", "server", key=key.name, outcome="ok")
+        return key
+
+    def _admit(self, credential: Optional[str]) -> ApiKey:
         if not credential:
-            record_auth("anonymous", "missing")
             raise MissingKeyError(
                 "this endpoint requires an API key (Authorization: Bearer "
                 "<key> or X-API-Key)")
         key = self._keys.get(credential)
         if key is None:
-            record_auth("anonymous", "invalid")
             raise InvalidKeyError("unknown API key")
         if key.expired():
-            record_auth(key.name, "expired")
             raise ExpiredKeyError(f"API key '{key.name}' has expired",
                                   key_name=key.name)
         if self.enforce_limits:
-            try:
-                key.charge()
-            except AuthError as error:
-                record_auth(key.name, error.outcome)
-                raise
-        record_auth(key.name, "ok")
+            key.charge()
         return key
 
     def lookup(self, credential: Optional[str]) -> Optional[ApiKey]:

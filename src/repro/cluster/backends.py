@@ -51,8 +51,7 @@ from repro.service.store import (
     StoreInfo,
     _entry_digest,
 )
-from repro.telemetry.instruments import record_peer_fetch
-from repro.trace.tracer import current_tracer
+from repro.trace.tracer import event
 
 #: Name of the dynamic peer-discovery file a router writes at the store
 #: root once every shard's port is known.
@@ -155,9 +154,7 @@ class ReplicatedStoreBackend:
         self._peers_mtime: Optional[float] = None
         self._peers_cache: List[str] = []
         self._lock = threading.Lock()
-        self._peer_hits = 0
-        self._peer_misses = 0
-        self._peer_errors = 0
+        self._peer_counts = {"hit": 0, "miss": 0, "error": 0}
 
     # -- peer discovery --------------------------------------------------
     def peers(self) -> List[str]:
@@ -202,16 +199,12 @@ class ReplicatedStoreBackend:
             result = AdaptationResult.from_dict(json.loads(document)["result"])
         except (ValueError, KeyError, TypeError):
             # A peer served garbage; treat as a miss and do not adopt it.
-            self._count(errors=1)
-            record_peer_fetch(self.backend, "error")
+            self._fetched("error")
             return None
         # Adopt the entry so the next lookup is local (and so this node
         # can in turn serve it to other peers).
         self.local.write_raw(digest, document)
-        self._count(hits=1)
-        record_peer_fetch(self.backend, "hit")
-        current_tracer().event("store.peer_hit", "service", digest=digest,
-                               bytes=len(document))
+        self._fetched("hit", digest=digest, bytes=len(document))
         return result
 
     def put(self, key: Optional[CacheKey], result: AdaptationResult) -> None:
@@ -228,7 +221,7 @@ class ReplicatedStoreBackend:
     def _fetch_from_peers(self, digest: str) -> Optional[str]:
         peers = self.peers()
         if not peers:
-            self._count(misses=1)
+            self._count("miss")  # nobody to ask: no fetch to report
             return None
         for peer in peers:
             url = f"{peer}/internal/store/{digest}"
@@ -241,21 +234,22 @@ class ReplicatedStoreBackend:
             except urllib.error.HTTPError as error:
                 error.close()
                 if error.code != 404:
-                    self._count(errors=1)
-                    record_peer_fetch(self.backend, "error")
+                    self._fetched("error")
             except (urllib.error.URLError, OSError, ValueError):
-                self._count(errors=1)
-                record_peer_fetch(self.backend, "error")
-        self._count(misses=1)
-        record_peer_fetch(self.backend, "miss")
+                self._fetched("error")
+        self._fetched("miss")
         return None
 
     # -- statistics ------------------------------------------------------
-    def _count(self, hits: int = 0, misses: int = 0, errors: int = 0) -> None:
+    def _count(self, outcome: str) -> None:
         with self._lock:
-            self._peer_hits += hits
-            self._peer_misses += misses
-            self._peer_errors += errors
+            self._peer_counts[outcome] += 1
+
+    def _fetched(self, outcome: str, **fields: object) -> None:
+        """Book one peer fetch attempt: ``hit``, ``miss`` or ``error``."""
+        self._count(outcome)
+        event("store.peer_fetch", "service", backend=self.backend,
+              outcome=outcome, **fields)
 
     def info(self) -> StoreInfo:
         """The local tier's counters/footprint (peer counters are extra)."""
@@ -269,9 +263,9 @@ class ReplicatedStoreBackend:
                 backend=self.backend,
                 node=self.node,
                 peers=peer_count,
-                peer_hits=self._peer_hits,
-                peer_misses=self._peer_misses,
-                peer_errors=self._peer_errors,
+                peer_hits=self._peer_counts["hit"],
+                peer_misses=self._peer_counts["miss"],
+                peer_errors=self._peer_counts["error"],
             )
         return stats
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.auth import MAX_PRIORITY, ApiKey
-from repro.telemetry.instruments import record_shed
+from repro.trace.tracer import event
 
 __all__ = ["LoadShedder", "SheddingPolicy", "ShedError"]
 
@@ -96,7 +96,7 @@ class LoadShedder:
         if priority >= cutoff:
             return
         name = key.name if key is not None else "anonymous"
-        record_shed(name)
+        event("admission.shed", "server", key=name)
         raise ShedError(
             f"service is saturated ({saturation:.0%}); shedding priority "
             f"< {cutoff} (key '{name}' has priority {priority})",

@@ -5,9 +5,7 @@
    (with :func:`repro.compile_many` for batches): techniques are
    addressed by registry keys (``"sat_p"``, ``"direct"``, ``"kak_cz"``,
    ...) and run as the instrumented pass pipeline of
-   :mod:`repro.pipeline`.  The adapter classes exported here
-   (:class:`SatAdapter` and the baselines) are deprecated shims kept for
-   backwards compatibility.
+   :mod:`repro.pipeline`.
 
 The adaptation flow follows Fig. 2 of the paper:
 
@@ -31,18 +29,14 @@ The adaptation flow follows Fig. 2 of the paper:
 
 Baseline techniques (direct basis translation, KAK-only decomposition with
 CZ or diabatic CZ, template optimization with fidelity or idle-time
-objective) live in :mod:`repro.core.baselines`.
+objective) are registry keys of :func:`repro.compile` (``"direct"``,
+``"kak_cz"``/``"kak_dcz"``, ``"template_f"``/``"template_r"``).
 """
 
 from repro.core.rules import Substitution, SubstitutionRule, standard_rules, evaluate_rules
 from repro.core.preprocessing import PreprocessedBlock, PreprocessedCircuit, preprocess
 from repro.core.model import AdaptationModel, ModelSolution, OBJECTIVE_FIDELITY, OBJECTIVE_IDLE, OBJECTIVE_COMBINED
-from repro.core.adapter import AdaptationResult, SatAdapter
-from repro.core.baselines import (
-    DirectTranslationAdapter,
-    KakAdapter,
-    TemplateOptimizationAdapter,
-)
+from repro.core.adapter import AdaptationResult
 
 __all__ = [
     "Substitution",
@@ -58,8 +52,4 @@ __all__ = [
     "OBJECTIVE_IDLE",
     "OBJECTIVE_COMBINED",
     "AdaptationResult",
-    "SatAdapter",
-    "DirectTranslationAdapter",
-    "KakAdapter",
-    "TemplateOptimizationAdapter",
 ]

@@ -1,24 +1,19 @@
-"""The adaptation result container, substitution application, legacy shim.
+"""The adaptation result container and substitution application.
 
-The class-per-technique API (:class:`SatAdapter` and the baseline adapters
-in :mod:`repro.core.baselines`) is deprecated: the single front door is
-now :func:`repro.compile`, which resolves string technique keys through
-:mod:`repro.api.registry` and runs the instrumented pass pipeline of
-:mod:`repro.pipeline`.  The legacy classes remain as thin shims that emit
-a :class:`DeprecationWarning` and delegate to the facade, returning
-identical :class:`AdaptationResult` objects.
+Techniques run through :func:`repro.compile`, which resolves string
+technique keys through :mod:`repro.api.registry` and runs the
+instrumented pass pipeline of :mod:`repro.pipeline`; every technique
+returns an :class:`AdaptationResult`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.preprocessing import PreprocessedCircuit
-from repro.core.rules import Substitution, SubstitutionRule
-from repro.hardware.target import Target
+from repro.core.rules import Substitution
 from repro.transpiler.basis import translate_instruction_to_cz
 from repro.transpiler.cost import CircuitCost
 
@@ -149,90 +144,3 @@ def apply_substitutions(
                 for replacement in translate_instruction_to_cz(instruction):
                     adapted.append(replacement.gate, replacement.qubits)
     return adapted
-
-
-def _warn_deprecated(old: str, replacement: str) -> None:
-    """Emit the standard legacy-API deprecation warning."""
-    warnings.warn(
-        f"{old} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class SatAdapter:
-    """Deprecated shim over ``repro.compile(..., technique='sat_*')``.
-
-    Parameters
-    ----------
-    objective:
-        One of ``"fidelity"`` (SAT_F, Eq. 8), ``"idle"`` (SAT_R, Eq. 9) or
-        ``"combined"`` (SAT_P, Eq. 10).
-    rules:
-        Substitution rules to consider; defaults to the Fig. 3 rule set.
-    merge_single_qubit_gates:
-        Merge adjacent single-qubit gates in the adapted circuit.
-    verify:
-        Check that the adapted circuit is unitarily equivalent (up to global
-        phase) to the routed input; only feasible for small circuits.
-    """
-
-    technique_name = "sat"
-
-    _TECHNIQUE_BY_OBJECTIVE = {
-        "fidelity": "sat_f",
-        "idle": "sat_r",
-        "combined": "sat_p",
-    }
-
-    def __init__(
-        self,
-        objective: str = "combined",
-        rules: Optional[Sequence[SubstitutionRule]] = None,
-        merge_single_qubit_gates: bool = False,
-        verify: bool = False,
-        max_improvement_rounds: Optional[int] = None,
-    ) -> None:
-        if objective not in self._TECHNIQUE_BY_OBJECTIVE:
-            raise ValueError(
-                f"objective must be one of {tuple(self._TECHNIQUE_BY_OBJECTIVE)}"
-            )
-        _warn_deprecated(
-            "SatAdapter",
-            f"repro.compile(circuit, target, technique="
-            f"{self._TECHNIQUE_BY_OBJECTIVE[objective]!r})",
-        )
-        self.objective = objective
-        self.rules = list(rules) if rules is not None else None
-        self.merge_single_qubit_gates = merge_single_qubit_gates
-        self.verify = verify
-        self.max_improvement_rounds = max_improvement_rounds
-        # Canonical registry key, matching what adapt() reports.
-        self.technique_name = self._TECHNIQUE_BY_OBJECTIVE[objective]
-
-    # ------------------------------------------------------------------
-    def adapt(self, circuit: QuantumCircuit, target: Target) -> AdaptationResult:
-        """Adapt ``circuit`` to ``target`` through the unified facade."""
-        from repro.api import compile as _compile
-
-        options: Dict[str, object] = {
-            "merge_single_qubit_gates": self.merge_single_qubit_gates,
-            "verify": self.verify,
-        }
-        if self.rules is not None:
-            options["rules"] = self.rules
-        if self.max_improvement_rounds is not None:
-            options["max_improvement_rounds"] = self.max_improvement_rounds
-        return _compile(
-            circuit,
-            target,
-            technique=self._TECHNIQUE_BY_OBJECTIVE[self.objective],
-            **options,
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _route_if_needed(circuit: QuantumCircuit, target: Target) -> QuantumCircuit:
-        from repro.pipeline.passes import route_if_needed
-
-        return route_if_needed(circuit, target)

@@ -289,7 +289,7 @@ def run_golden(baseline_path: Optional[str] = None,
         missing.
     """
     from repro.resilience import CompileDeadlineExceeded
-    from repro.trace.tracer import current_tracer
+    from repro.trace.tracer import event, span
 
     if baseline_path is None:
         baseline_path = default_baseline_path()
@@ -311,11 +311,10 @@ def run_golden(baseline_path: Optional[str] = None,
         else:
             attempted.append(cell)
 
-    tracer = current_tracer()
     mode = "full" if full else (
         "custom" if only or benchmarks or techniques else "fast")
-    token = tracer.begin("golden.run", "golden", mode=mode,
-                         cells=len(cells), rebaseline=rebaseline)
+    run_span = span("golden.run", "golden", mode=mode, cells=len(cells),
+                    rebaseline=rebaseline)
     records: List[QualityRecord] = []
     errors: Dict[Cell, str] = {}
     deadline_hits: List[Cell] = []
@@ -340,9 +339,8 @@ def run_golden(baseline_path: Optional[str] = None,
                 records.append(record)
                 status = "compiled"
             seconds = time.perf_counter() - cell_started
-            tracer.event("golden.cell", "golden", benchmark=benchmark,
-                         technique=technique, status=status,
-                         seconds=seconds)
+            event("golden.cell", "golden", benchmark=benchmark,
+                  technique=technique, status=status, seconds=seconds)
             if progress is not None:
                 progress(benchmark, technique, status, seconds)
 
@@ -371,11 +369,11 @@ def run_golden(baseline_path: Optional[str] = None,
                                  errors=errors)
         for verdict in comparison.verdicts:
             regressed = verdict.regressed_metrics()
-            tracer.event("golden.check", "golden",
-                         benchmark=verdict.benchmark,
-                         technique=verdict.technique,
-                         status=verdict.status,
-                         regressed_metrics=[d.metric for d in regressed])
+            event("golden.check", "golden",
+                  benchmark=verdict.benchmark,
+                  technique=verdict.technique,
+                  status=verdict.status,
+                  regressed_metrics=[d.metric for d in regressed])
         report = GoldenRunReport(
             mode=mode,
             baseline_path=baseline_path,
@@ -388,7 +386,7 @@ def run_golden(baseline_path: Optional[str] = None,
             rebaselined=rebaseline,
         )
     finally:
-        tracer.end(token)
+        run_span.end()
 
     if output:
         payload = report.to_dict()

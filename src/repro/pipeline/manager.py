@@ -1,8 +1,10 @@
 """The :class:`Pipeline` (pass manager): ordered, instrumented, reorderable.
 
 A pipeline is an immutable ordered sequence of named passes.  Running it
-executes every pass against a fresh :class:`PassContext`, measures each
-stage's wall time and size counters, and returns the
+executes every pass against a fresh :class:`PassContext` inside its own
+``pass:<name>`` span — the span's duration is the stage's wall time in
+the report, the trace and the pass-latency metric alike — records each
+stage's size counters, and returns the
 :class:`repro.core.AdaptationResult` with a :class:`CompilationReport`
 attached.  The rewriting helpers (:meth:`Pipeline.without`,
 :meth:`Pipeline.replaced`, :meth:`Pipeline.inserted_after`, ...) return new
@@ -11,7 +13,6 @@ pipelines, so registered techniques can be derived from one another.
 
 from __future__ import annotations
 
-import time
 from typing import List, Mapping, Optional, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
@@ -19,10 +20,8 @@ from repro.hardware.target import Target
 from repro.pipeline.passes import Pass, PassContext
 from repro.pipeline.report import CompilationReport, PassStats
 from repro.resilience.budget import check_budget
-from repro.telemetry.registry import telemetry_enabled
-from repro.telemetry.resources import resource_usage
-from repro.trace.metrics import observe_pass
-from repro.trace.tracer import current_tracer
+from repro.telemetry.resources import attribution_start, resource_usage
+from repro.trace.tracer import span
 
 
 class Pipeline:
@@ -129,33 +128,22 @@ class Pipeline:
                 target_fingerprint="",
                 options=dict(options or {}),
             )
-        tracer = current_tracer()
-        pipeline_token = None
-        if tracer.enabled:
-            pipeline_token = tracer.begin(
-                "pipeline", "pipeline",
-                technique=technique, circuit=circuit.name,
-                gates_in=len(circuit.instructions),
-            )
-        usage_start = resource_usage() if telemetry_enabled() else None
+        pipeline_span = span("pipeline", "pipeline",
+                             technique=technique, circuit=circuit.name,
+                             gates_in=len(circuit.instructions))
+        usage_start = attribution_start()
+        gates_out = None
         try:
             for pass_ in self._passes:
                 # Pass boundaries are deadline checkpoints too, so
                 # budgets fire for every technique — including those
                 # whose passes never enter a solver loop.
                 check_budget(f"pass:{pass_.name}")
-                pass_token = (
-                    tracer.begin(f"pass:{pass_.name}", "pipeline")
-                    if tracer.enabled else None
-                )
-                started = time.perf_counter()
+                pass_span = span(f"pass:{pass_.name}", "pipeline")
                 pass_.run(context)
-                elapsed = time.perf_counter() - started
                 counters = dict(pass_.counters(context))
-                report.stages.append(PassStats(pass_.name, elapsed, counters))
-                observe_pass(pass_.name, elapsed)
-                if pass_token is not None:
-                    tracer.end(pass_token, **counters)
+                seconds = pass_span.end(**counters)
+                report.stages.append(PassStats(pass_.name, seconds, counters))
             if usage_start is not None:
                 cpu_end, rss_end = resource_usage()
                 report.resources = {
@@ -163,11 +151,10 @@ class Pipeline:
                     "peak_rss_bytes": float(rss_end),
                 }
             result = self._finalize(context, report)
+            gates_out = len(result.adapted_circuit.instructions)
         finally:
-            if pipeline_token is not None:
-                gates_out = (len(context.adapted.instructions)
-                             if context.adapted is not None else None)
-                tracer.end(pipeline_token, gates_out=gates_out)
+            # gates_out stays None when the pipeline did not finish.
+            pipeline_span.end(gates_out=gates_out)
         return result
 
     @staticmethod

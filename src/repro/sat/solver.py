@@ -21,17 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.resilience.budget import current_budget
 from repro.resilience.faults import active_fault_plan
-from repro.telemetry.instruments import record_sat_progress
-from repro.telemetry.registry import telemetry_enabled
-from repro.trace.tracer import current_tracer
+from repro.trace.tracer import event, hooks_active
 
-#: Conflict-count granularity of the sampled ``sat.conflicts`` trace
-#: events: one milestone event per this many conflicts keeps traces
-#: bounded on conflict-heavy instances.
+#: Conflict-count granularity of the ``sat.conflicts`` progress events:
+#: one milestone event per this many conflicts (plus one on exit) keeps
+#: traces bounded on conflict-heavy instances.
 TRACE_CONFLICT_MILESTONE = 512
 
 
@@ -551,21 +549,15 @@ class Solver:
             self._ok = False
             return SolverResult.UNSAT
 
-        # One flag read when tracing is off; milestone-sampled events when on.
-        tracer = current_tracer()
-        traced = tracer.enabled
-        # The ambient compile budget (deadline/cancellation) and fault
-        # plan are likewise fetched once per solve; the per-conflict cost
-        # in the common case is a single `is not None` test each.
+        # The hook switch, the ambient compile budget (deadline and
+        # cancellation) and the fault plan are fetched once per solve;
+        # the per-conflict cost in the common case is one test each.
+        hooked = hooks_active()
         budget = current_budget()
         fault_plan = active_fault_plan()
-        # Telemetry mirrors the tracing discipline: the flag is read once
-        # per solve, deltas flush at the same conflict milestones (live
-        # rates during long solves) and once more on exit.
-        metered = telemetry_enabled()
         stats = self.statistics
-        flushed = (stats.conflicts, stats.propagations, stats.decisions,
-                   stats.restarts)
+        mark = (stats.conflicts, stats.propagations, stats.decisions,
+                stats.restarts)
 
         internal_assumptions = [self._lit_to_internal(lit) for lit in assumptions]
         conflicts_since_restart = 0
@@ -603,32 +595,16 @@ class Solver:
                         budget.charge("sat.conflict", conflicts=1)
                     if fault_plan is not None:
                         fault_plan.delay("sat.conflict")
-                    if traced and self.statistics.conflicts % TRACE_CONFLICT_MILESTONE == 0:
-                        tracer.event(
-                            "sat.conflicts", "solver",
-                            d_conflicts=TRACE_CONFLICT_MILESTONE,
-                            conflicts=self.statistics.conflicts,
-                            learned=len(self._learned),
-                            decisions=self.statistics.decisions,
-                        )
-                    if metered and stats.conflicts % TRACE_CONFLICT_MILESTONE == 0:
-                        record_sat_progress(
-                            conflicts=stats.conflicts - flushed[0],
-                            propagations=stats.propagations - flushed[1],
-                            decisions=stats.decisions - flushed[2],
-                            restarts=stats.restarts - flushed[3],
-                            learned=len(self._learned),
-                        )
-                        flushed = (stats.conflicts, stats.propagations,
-                                   stats.decisions, stats.restarts)
+                    if hooked and stats.conflicts % TRACE_CONFLICT_MILESTONE == 0:
+                        mark = self._report_progress(mark)
                     if conflicts_since_restart >= restart_limit:
                         self.statistics.restarts += 1
                         restart_index += 1
                         restart_limit = self._restart_base * luby(restart_index)
                         conflicts_since_restart = 0
                         self._backtrack(len(self._assumption_levels))
-                        if traced:
-                            tracer.event(
+                        if hooked:
+                            event(
                                 "sat.restart", "solver",
                                 d_restarts=1,
                                 restarts=self.statistics.restarts,
@@ -639,8 +615,8 @@ class Solver:
                         learned_before = len(self._learned)
                         self._reduce_learned()
                         learned_limit = int(learned_limit * 1.3) + 10
-                        if traced:
-                            tracer.event(
+                        if hooked:
+                            event(
                                 "sat.reduce_db", "solver",
                                 d_deleted=learned_before - len(self._learned),
                                 learned=len(self._learned),
@@ -676,16 +652,27 @@ class Solver:
                 )
                 self._enqueue(decision, None)
         finally:
-            # Flush any unreported progress exactly once per solve, even
+            # Report the unreported progress exactly once per solve, even
             # when the budget aborts mid-search with CompileInterrupted.
-            if metered:
-                record_sat_progress(
-                    conflicts=stats.conflicts - flushed[0],
-                    propagations=stats.propagations - flushed[1],
-                    decisions=stats.decisions - flushed[2],
-                    restarts=stats.restarts - flushed[3],
-                    learned=len(self._learned),
-                )
+            if hooked:
+                self._report_progress(mark)
+
+    def _report_progress(
+        self, mark: Tuple[int, int, int, int],
+    ) -> Tuple[int, int, int, int]:
+        """Emit one ``sat.conflicts`` event: search deltas since ``mark``.
+
+        Returns the new mark.  The event feeds the trace and the
+        ``repro_solver_*`` metric families alike.
+        """
+        stats = self.statistics
+        now = (stats.conflicts, stats.propagations, stats.decisions,
+               stats.restarts)
+        event("sat.conflicts", "solver",
+              d_conflicts=now[0] - mark[0], d_propagations=now[1] - mark[1],
+              d_decisions=now[2] - mark[2], d_restarts=now[3] - mark[3],
+              conflicts=now[0], learned=len(self._learned))
+        return now
 
     def _install_learned(self, learned: List[int]) -> None:
         self.statistics.learned_clauses += 1

@@ -34,7 +34,6 @@ from repro.server.app import (
     ApiError,
     CompilationGateway,
     ReproServer,
-    RequestMetrics,
     build_server,
 )
 from repro.server.client import (
@@ -57,7 +56,6 @@ __all__ = [
     "build_server",
     "ReproServer",
     "CompilationGateway",
-    "RequestMetrics",
     "ApiError",
     "ReproClient",
     "RemoteJob",

@@ -87,25 +87,19 @@ from repro.service.scheduler import (
 from repro.service.store import PersistentResultStore
 from repro.telemetry.instruments import (
     EVENT_STREAMS_ACTIVE,
-    HTTP_ERRORS,
-    HTTP_LATENCY,
     LONGPOLL_ACTIVE,
     SERVER_JOBS_TRACKED,
     SERVER_UPTIME,
-    record_http_request,
+    passes_snapshot,
+    requests_snapshot,
 )
 from repro.telemetry.prometheus import (
     CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
-from repro.telemetry.registry import REGISTRY
+from repro.telemetry.registry import REGISTRY, enable_telemetry
 from repro.telemetry.resources import start_resource_sampler
-from repro.trace.metrics import (
-    PASS_METRICS,
-    enable_pass_metrics,
-    snapshot_histogram_family,
-)
-from repro.trace.tracer import TRACE_HEADER, current_tracer
+from repro.trace.tracer import TRACE_HEADER, span
 from repro.workloads.manifest import parse_manifest
 
 #: Hard cap on how long one ``GET .../result?timeout=`` request blocks
@@ -190,44 +184,6 @@ class ApiError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Request metrics
-# ---------------------------------------------------------------------------
-class RequestMetrics:
-    """Per-route request counters and latency stats over the telemetry
-    registry.
-
-    Historically this class kept its own reservoir of recent latencies
-    and reported them as ``p50_ms``/``p95_ms`` — *lifetime*-sounding keys
-    computed from a recency-biased sample.  The stats now come from the
-    registry's ``repro_http_*`` families: percentile keys carry an
-    explicit window label (``_lifetime`` interpolated from the full
-    histogram, plus a ``windows`` sub-dict with true 1/5/15-minute
-    percentiles from the sliding ring).
-    """
-
-    def observe(self, route: str, status: int, seconds: float) -> None:
-        record_http_request(route, status, seconds)
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """JSON-ready per-route counters, histogram and latency stats."""
-        errors: Dict[Tuple[str, str], int] = {}
-        for sample in HTTP_ERRORS.snapshot()["samples"]:
-            labels = sample["labels"]
-            errors[(labels["route"], labels["kind"])] = int(sample["value"])
-        snapshot: Dict[str, Dict[str, object]] = {}
-        for route, block in snapshot_histogram_family(HTTP_LATENCY, "route").items():
-            block = dict(block)
-            # The percentile keys say what they measure: lifetime
-            # interpolation vs the windows sub-dict's 1m/5m/15m rings.
-            block["p50_ms_lifetime"] = block.pop("p50_ms")
-            block["p95_ms_lifetime"] = block.pop("p95_ms")
-            block["server_errors"] = errors.get((route, "server"), 0)
-            block["client_errors"] = errors.get((route, "client"), 0)
-            snapshot[route] = block
-        return snapshot
-
-
-# ---------------------------------------------------------------------------
 # Gateway jobs
 # ---------------------------------------------------------------------------
 class _GatewayJob:
@@ -294,7 +250,6 @@ class CompilationGateway:
         self.durations = durations
         self.job_prefix = job_prefix
         self.max_jobs = max_jobs
-        self.metrics = RequestMetrics()
         self.auth = auth if auth is not None else Authenticator()
         if isinstance(shedding, LoadShedder):
             self.shedder: Optional[LoadShedder] = shedding
@@ -313,10 +268,9 @@ class CompilationGateway:
         service.add_listener(self._on_service_event)
         # /metrics serves per-pipeline-pass histograms alongside the
         # per-route ones; the registry aggregates in-process regardless
-        # of whether JSONL tracing is on.  enable_pass_metrics() turns on
-        # the whole telemetry registry; the resource sampler keeps
+        # of whether JSONL tracing is on.  The resource sampler keeps
         # RSS/CPU/FD gauges fresh between scrapes.
-        enable_pass_metrics()
+        enable_telemetry()
         start_resource_sampler()
         REGISTRY.register_collector("gateway", self._collect_telemetry)
         self._jobs: "OrderedDict[str, _GatewayJob]" = OrderedDict()
@@ -852,8 +806,8 @@ class CompilationGateway:
             # tested) and the local sections are plain numbers/strings,
             # so nothing needs a coercion pass here.
             "service": self.service.statistics(),
-            "requests": self.metrics.snapshot(),
-            "passes": PASS_METRICS.snapshot(),
+            "requests": requests_snapshot(),
+            "passes": passes_snapshot(),
             # The raw registry view the JSON blocks above are carved
             # from: every family, with windowed rates/percentiles.
             "telemetry": REGISTRY.collect(),
@@ -1058,12 +1012,10 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _dispatch(self, method: str) -> None:
-        started = time.perf_counter()
         parsed = urlparse(self.path)
         label = f"{method} <unmatched>"
         status, payload = 500, {"error": "internal error"}
         retry_after: Optional[float] = None
-        tracer = current_tracer()
         begin_fields: Dict[str, object] = {"method": method}
         # A caller's propagation header ("pid:span") stitches its span
         # tree onto this request's; the structural parent stays local so
@@ -1072,60 +1024,63 @@ class _Handler(BaseHTTPRequestHandler):
         remote = self.headers.get(TRACE_HEADER)
         if remote and _REMOTE_PARENT_RE.match(remote):
             begin_fields["remote_parent"] = remote
-        request_token = tracer.begin("http.request", "server", **begin_fields)
+        request_span = span("http.request", "server", **begin_fields)
+        # The span ends once, after the response is written.  Status 0
+        # marks a request nobody was answered on (the client went away,
+        # or a fault aborted the response): traced, but not counted.
+        answered = 0
         try:
-            matched = None
-            path_exists = False
-            for route_method, pattern, action, route_label in _ROUTES:
-                match = pattern.match(parsed.path)
-                if match is None:
-                    continue
-                path_exists = True
-                if route_method == method:
-                    matched = (action, route_label, match)
-                    break
-            if matched is None:
-                # All unmatched paths share the one "<unmatched>" metrics
-                # label — a scanner probing thousands of distinct URLs
-                # must not grow one _RouteStats per path.
-                raise ApiError(405 if path_exists else 404,
-                               f"no such resource: {method} {parsed.path}")
-            action, label, match = matched
-            query = parse_qs(parsed.query)
-            if action not in _AUTH_EXEMPT:
-                self.gateway.authorize(self.headers,
-                                       shed=action in _SHED_ACTIONS)
-            status, payload = self._handle(action, match, query)
-        except ApiError as error:
-            status, payload = error.status, error.payload
-            retry_after = error.retry_after
-        except (BrokenPipeError, _ClientGone):
-            # Client went away mid-request; nothing to answer.
-            tracer.end(request_token, route=label, status=0)
-            self.close_connection = True
-            return
-        except Exception as error:  # noqa: BLE001 - the server must answer
-            status = 500
-            payload = {"error": f"{type(error).__name__}: {error}"}
-        plan = active_fault_plan()
-        if plan is not None:
-            # Fault injection: delay and/or drop this response.  The
-            # abort closes the socket without answering — the client sees
-            # a connection error mid-read, the retry territory its
-            # resilience tests exercise.
-            for spec in plan.delay("http.response"):
-                if spec.action == "abort":
-                    tracer.end(request_token, route=label, status=0)
-                    self.close_connection = True
-                    try:
-                        self.connection.close()
-                    except OSError:
-                        pass
-                    return
-        tracer.end(request_token, route=label, status=status)
-        self._respond(status, payload, retry_after=retry_after)
-        self.gateway.metrics.observe(label, status,
-                                     time.perf_counter() - started)
+            try:
+                matched = None
+                path_exists = False
+                for route_method, pattern, action, route_label in _ROUTES:
+                    match = pattern.match(parsed.path)
+                    if match is None:
+                        continue
+                    path_exists = True
+                    if route_method == method:
+                        matched = (action, route_label, match)
+                        break
+                if matched is None:
+                    # All unmatched paths share the one "<unmatched>"
+                    # metrics label — a scanner probing thousands of
+                    # distinct URLs must not grow one series per path.
+                    raise ApiError(405 if path_exists else 404,
+                                   f"no such resource: {method} {parsed.path}")
+                action, label, match = matched
+                query = parse_qs(parsed.query)
+                if action not in _AUTH_EXEMPT:
+                    self.gateway.authorize(self.headers,
+                                           shed=action in _SHED_ACTIONS)
+                status, payload = self._handle(action, match, query)
+            except ApiError as error:
+                status, payload = error.status, error.payload
+                retry_after = error.retry_after
+            except (BrokenPipeError, _ClientGone):
+                # Client went away mid-request; nothing to answer.
+                self.close_connection = True
+                return
+            except Exception as error:  # noqa: BLE001 - the server must answer
+                status = 500
+                payload = {"error": f"{type(error).__name__}: {error}"}
+            plan = active_fault_plan()
+            if plan is not None:
+                # Fault injection: delay and/or drop this response.  The
+                # abort closes the socket without answering — the client
+                # sees a connection error mid-read, the retry territory
+                # its resilience tests exercise.
+                for spec in plan.delay("http.response"):
+                    if spec.action == "abort":
+                        self.close_connection = True
+                        try:
+                            self.connection.close()
+                        except OSError:
+                            pass
+                        return
+            self._respond(status, payload, retry_after=retry_after)
+            answered = status
+        finally:
+            request_span.end(route=label, status=answered)
 
     def _handle(self, action: str, match, query) -> Tuple[int, Dict[str, object]]:
         gateway = self.gateway

@@ -34,7 +34,7 @@ from urllib.parse import quote
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.adapter import AdaptationResult
 from repro.hardware.target import Target
-from repro.trace.tracer import TRACE_HEADER, current_tracer
+from repro.trace.tracer import TRACE_HEADER, span
 
 #: Per-request cap on the server-side long-poll slice (the server caps at
 #: 60 s; staying under it keeps one HTTP round trip per slice).
@@ -220,12 +220,10 @@ class ReproClient:
         # When this process traces, the exchange gets a client-layer span
         # and its identity rides the propagation header so the gateway's
         # request span records us as its remote parent.
-        tracer = current_tracer()
-        token = None
-        if tracer.enabled:
-            token = tracer.begin("client.request", "client",
-                                 method=method, path=path.split("?", 1)[0])
-            headers[TRACE_HEADER] = f"{os.getpid()}:{token[0]}"
+        request_span = span("client.request", "client",
+                            method=method, path=path.split("?", 1)[0])
+        if request_span.span_id is not None:
+            headers[TRACE_HEADER] = f"{os.getpid()}:{request_span.span_id}"
         final_status: Optional[int] = None
         try:
             delay = self.backoff
@@ -274,8 +272,7 @@ class ReproClient:
                     delay *= 2
             raise last_error  # type: ignore[misc]
         finally:
-            if token is not None:
-                tracer.end(token, status=final_status)
+            request_span.end(status=final_status)
 
     @staticmethod
     def _retry_after(error: urllib.error.HTTPError,

@@ -60,20 +60,22 @@ from repro.resilience.budget import (
 from repro.resilience.faults import maybe_fault
 from repro.service.store import PersistentResultStore
 from repro.telemetry.instruments import (
+    JOBS_PENDING,
+    QUEUE_DEPTH,
     SCHEDULER_JOBS,
     STORE_BYTES,
     STORE_EVENTS,
     WORKER_UTILIZATION,
-    record_job_event,
-    record_scheduler_saturation,
+    WORKERS_BUSY,
 )
-from repro.telemetry.registry import REGISTRY, telemetry_enabled
+from repro.telemetry.registry import REGISTRY
 from repro.trace.tracer import (
     TraceContext,
     Tracer,
     capture_context,
-    current_tracer,
+    event,
     resume_context,
+    span,
     start_tracing,
     stop_tracing,
 )
@@ -424,7 +426,7 @@ class CompilationService:
             except ValueError:
                 pass
 
-    def _notify(self, job: _Job, event: str, **extra: object) -> None:
+    def _notify(self, job: _Job, kind: str, **extra: object) -> None:
         """Fan one lifecycle event out to listeners (never under the lock).
 
         A listener that raises is dropped from the fan-out for this event
@@ -434,10 +436,10 @@ class CompilationService:
             listeners = list(self._listeners)
         if not listeners:
             return
-        record_job_event(event)
+        event("job.notify", "service", event=kind, job_id=job.job_id)
         info: Dict[str, object] = {
             "job_id": job.job_id,
-            "event": event,
+            "event": kind,
             "status": job.status.value,
             "technique": job.technique,
             "waiters": job.waiters,
@@ -445,7 +447,7 @@ class CompilationService:
         info.update(extra)
         for listener in listeners:
             try:
-                listener(event, info)
+                listener(kind, info)
             except Exception:  # noqa: BLE001 - listeners must not kill workers
                 pass
 
@@ -504,7 +506,6 @@ class CompilationService:
             cache_key(circuit, target, spec.key, effective) if use_cache else None
         )
 
-        tracer = current_tracer()
         front = Future()
         dedup_of: Optional[_Job] = None
         with self._lock:
@@ -537,12 +538,12 @@ class CompilationService:
                 if key is not None:
                     self._inflight[key] = job
         if dedup_of is not None:
-            tracer.event("job.dedup", "service", job_id=dedup_of.job_id,
-                         technique=spec.key, waiters=dedup_of.waiters)
+            event("job.dedup", "service", job_id=dedup_of.job_id,
+                  technique=spec.key, waiters=dedup_of.waiters)
             self._notify(dedup_of, "dedup")
             return JobHandle(self, dedup_of, front)
-        tracer.event("job.submit", "service", job_id=job.job_id,
-                     technique=spec.key, circuit=circuit.name)
+        event("job.submit", "service", job_id=job.job_id,
+              technique=spec.key, circuit=circuit.name)
         try:
             self._queue.put(job, block=block, timeout=queue_timeout)
         except queue.Full:
@@ -655,18 +656,16 @@ class CompilationService:
                     job.finished_mono = time.monotonic()
                     if job.key is not None and self._inflight.get(job.key) is job:
                         del self._inflight[job.key]
-                current_tracer().event("job.cancel", "service",
-                                       job_id=job.job_id,
-                                       technique=job.technique)
+                event("job.cancel", "service", job_id=job.job_id,
+                      technique=job.technique)
                 self._notify(job, "cancelled")
             elif not job.future.done():
                 # Already running: raise the budget's cancel flag; the
                 # worker observes it at the next checkpoint, unwinds with
                 # CompileCancelled and books the job as cancelled.
                 job.budget.cancel("all waiters cancelled")
-                current_tracer().event("job.interrupt", "service",
-                                       job_id=job.job_id,
-                                       technique=job.technique)
+                event("job.interrupt", "service", job_id=job.job_id,
+                      technique=job.technique)
                 self._notify(job, "interrupted")
         return True
 
@@ -701,15 +700,14 @@ class CompilationService:
             # span under the submitting request's span even though this
             # runs on a worker thread (no-op when tracing is off).
             with resume_context(job.trace_context):
-                tracer = current_tracer()
-                with tracer.span("job", "service", job_id=job.job_id,
-                                 technique=job.technique,
-                                 circuit=job.circuit.name,
-                                 waiters=job.waiters,
-                                 queue_wait_seconds=started - job.submitted_mono,
-                                 mode=self.mode):
+                with span("job", "service", job_id=job.job_id,
+                          technique=job.technique,
+                          circuit=job.circuit.name,
+                          waiters=job.waiters,
+                          queue_wait_seconds=started - job.submitted_mono,
+                          mode=self.mode):
                     if self._pool is not None:
-                        result = self._run_in_pool(job, tracer)
+                        result = self._run_in_pool(job)
                         if job.use_cache:
                             # The subprocess populated its own caches; merge
                             # the result into this process's L1/L2 tiers.
@@ -759,7 +757,7 @@ class CompilationService:
                     front.set_result(result)
             self._notify(job, "done")
 
-    def _run_in_pool(self, job: _Job, tracer) -> object:
+    def _run_in_pool(self, job: _Job) -> object:
         """Dispatch one job to the process pool, surviving worker death.
 
         A crashed worker breaks the whole :class:`ProcessPoolExecutor`;
@@ -787,9 +785,9 @@ class CompilationService:
             except BrokenProcessPool:
                 job.attempts = attempt
                 self._respawn_pool(pool)
-                tracer.event("resilience.worker_crash", "service",
-                             job_id=job.job_id, technique=job.technique,
-                             attempt=attempt)
+                event("resilience.worker_crash", "service",
+                      job_id=job.job_id, technique=job.technique,
+                      attempt=attempt)
                 if attempt >= attempts:
                     raise WorkerCrashedError(
                         f"process worker died {attempts} time(s) while "
@@ -856,19 +854,16 @@ class CompilationService:
 
     # -- telemetry -------------------------------------------------------
     def _observe_saturation(self) -> None:
-        """Push live saturation gauges at submit/start/finish transitions.
+        """Set the live saturation gauges (submit/start/finish, scrape).
 
         ``jobs_pending`` counts admitted-but-unfinished work (queued plus
         running) via the queue's own accounting, so ``drain()``-style
-        consumers and the dashboard see the same number.
+        consumers and the dashboard see the same number.  The gauges
+        ignore the writes while telemetry is off.
         """
-        if not telemetry_enabled():
-            return
-        record_scheduler_saturation(
-            queue_depth=self._queue.qsize(),
-            workers_busy=self._busy_workers,
-            jobs_pending=self._queue.unfinished_tasks,
-        )
+        QUEUE_DEPTH.set(self._queue.qsize())
+        WORKERS_BUSY.set(self._busy_workers)
+        JOBS_PENDING.set(self._queue.unfinished_tasks)
 
     def _collect_telemetry(self) -> None:
         """Scrape-time collector: mirror pull-only values into the registry."""

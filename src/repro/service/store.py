@@ -47,7 +47,7 @@ from repro.api.cache import (
 )
 from repro.core.adapter import AdaptationResult
 from repro.resilience.faults import maybe_fault
-from repro.trace.tracer import current_tracer
+from repro.trace.tracer import event
 
 #: On-disk payload schema version; bump when the layout changes.
 STORE_FORMAT = 1
@@ -179,8 +179,7 @@ class PersistentResultStore:
                 self._misses += 1
                 self._corrupted += 1
                 self._total_bytes -= size
-            current_tracer().event("store.corrupt", "service",
-                                   digest=digest, bytes=size)
+            event("store.corrupt", "service", digest=digest, bytes=size)
             return None
         try:
             os.utime(path)

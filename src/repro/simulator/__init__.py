@@ -18,7 +18,6 @@ distributions.
 
 from repro.simulator.statevector import (
     circuit_probabilities,
-    measurement_probabilities,
     simulate_statevector,
     simulate_statevector_dense,
     statevector_probabilities,
@@ -42,7 +41,6 @@ from repro.simulator.metrics import hellinger_distance, hellinger_fidelity, tota
 __all__ = [
     "simulate_statevector",
     "simulate_statevector_dense",
-    "measurement_probabilities",
     "circuit_probabilities",
     "statevector_probabilities",
     "apply_gate_statevector",

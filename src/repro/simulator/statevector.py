@@ -9,7 +9,6 @@ harness baseline.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 import numpy as np
@@ -92,30 +91,3 @@ def statevector_probabilities(
 def circuit_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
     """Simulate a circuit noiselessly and return its outcome distribution."""
     return statevector_probabilities(simulate_statevector(circuit), circuit.num_qubits)
-
-
-def measurement_probabilities(
-    state_or_circuit, num_qubits: Optional[int] = None
-) -> Dict[str, float]:
-    """Return the computational-basis outcome distribution.
-
-    .. deprecated::
-        The dual-mode argument is deprecated; call
-        :func:`circuit_probabilities` for circuits or
-        :func:`statevector_probabilities` for statevectors instead.
-    """
-    if isinstance(state_or_circuit, QuantumCircuit):
-        warnings.warn(
-            "measurement_probabilities(circuit) is deprecated; "
-            "use circuit_probabilities(circuit)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return circuit_probabilities(state_or_circuit)
-    warnings.warn(
-        "measurement_probabilities(state) is deprecated; "
-        "use statevector_probabilities(state)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return statevector_probabilities(state_or_circuit, num_qubits)

@@ -24,9 +24,7 @@ from repro.resilience.budget import current_budget
 from repro.smt.rational import DeltaRational
 from repro.smt.solver import CheckResult, Model, SmtSolver
 from repro.smt.terms import Comparison, Expr, LinearExpr
-from repro.telemetry.instruments import record_omt_rounds
-from repro.telemetry.registry import telemetry_enabled
-from repro.trace.tracer import current_tracer
+from repro.trace.tracer import event, hooks_active, span
 
 #: Sampling schedule of the ``omt.round`` trace events (same shape as
 #: the SMT check sampling: full head, strided tail).
@@ -103,13 +101,10 @@ class Optimize:
         else:
             working_expr = objective_expr
 
-        tracer = current_tracer()
-        traced = tracer.enabled
+        hooked = hooks_active()
         budget = current_budget()
-        metered = telemetry_enabled()
-        rounds_at_entry = self.improvement_rounds
-        omt_token = tracer.begin("omt.optimize", "solver",
-                                 sense=self._objective.sense) if traced else None
+        rounds = 0
+        omt_span = span("omt.optimize", "solver", sense=self._objective.sense)
         try:
             best_value: Optional[Fraction] = None
             result = self._solver.check()
@@ -119,7 +114,7 @@ class Optimize:
             for round_index in range(self._max_rounds):
                 if budget is not None:
                     budget.charge("omt.round", rounds=1)
-                self.improvement_rounds = round_index + 1
+                rounds = self.improvement_rounds = round_index + 1
                 simplex = self._solver.last_simplex()
                 assert simplex is not None
                 optimum = simplex.maximize(dict(working_expr.coeffs))
@@ -133,9 +128,9 @@ class Optimize:
                 self._best_model = Model(bool_values, simplex.model())
                 if best_value is None or skeleton_best > best_value:
                     best_value = skeleton_best
-                if traced and (self.improvement_rounds <= TRACE_ROUND_HEAD
-                               or self.improvement_rounds % TRACE_ROUND_STRIDE == 0):
-                    tracer.event(
+                if hooked and (rounds <= TRACE_ROUND_HEAD
+                               or rounds % TRACE_ROUND_STRIDE == 0):
+                    event(
                         "omt.round", "solver",
                         d_rounds=1,
                         round=self.improvement_rounds,
@@ -156,10 +151,7 @@ class Optimize:
             self._finalize_objective(best_value)
             return CheckResult.SAT
         finally:
-            if omt_token is not None:
-                tracer.end(omt_token, rounds=self.improvement_rounds)
-            if metered:
-                record_omt_rounds(self.improvement_rounds - rounds_at_entry)
+            omt_span.end(rounds=self.improvement_rounds, d_rounds=rounds)
 
     def _finalize_objective(self, best_value: Optional[Fraction]) -> None:
         assert self._objective is not None

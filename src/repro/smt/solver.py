@@ -29,9 +29,7 @@ from repro.smt.cnf import CnfConverter
 from repro.smt.rational import DeltaRational
 from repro.smt.simplex import Simplex
 from repro.smt.terms import BoolVar, Comparison, Expr, LinearExpr
-from repro.telemetry.instruments import record_theory
-from repro.telemetry.registry import telemetry_enabled
-from repro.trace.tracer import current_tracer
+from repro.trace.tracer import event, hooks_active
 
 #: Sampling schedule of the ``smt.check`` trace events: the first this
 #: many theory checks are all traced, later ones only every
@@ -156,13 +154,9 @@ class SmtSolver:
         """Check satisfiability of the asserted formulas."""
         assumption_literals = [self._converter.encode(expr) for expr in assumptions]
         self._sync_clauses()
-        tracer = current_tracer()
-        traced = tracer.enabled
+        hooked = hooks_active()
         budget = current_budget()
         pivots_charged = self._stats["theory_pivots"]
-        # Telemetry deltas flush once per check() call, including aborts
-        # (budget.charge raises CompileInterrupted mid-loop).
-        metered = telemetry_enabled()
         entry = (self._stats["theory_checks"], self._stats["theory_pivots"],
                  self._stats["theory_conflicts"])
         try:
@@ -177,16 +171,16 @@ class SmtSolver:
                     )
                     pivots_charged = self._stats["theory_pivots"]
                 self._stats["theory_checks"] += 1
-                pivots_before = self._stats["theory_pivots"] if traced else 0
+                pivots_before = self._stats["theory_pivots"] if hooked else 0
                 if not self._sat.solve(assumption_literals):
                     self._model = None
                     return CheckResult.UNSAT
                 sat_model = self._sat.model()
                 simplex, conflict = self._theory_check(sat_model)
-                if traced:
+                if hooked:
                     index = self._stats["theory_checks"]
                     if index <= TRACE_CHECK_HEAD or index % TRACE_CHECK_STRIDE == 0:
-                        tracer.event(
+                        event(
                             "smt.check", "solver",
                             check=index,
                             consistent=conflict is None,
@@ -203,12 +197,13 @@ class SmtSolver:
                 self._sync_clauses()
             return CheckResult.UNKNOWN
         finally:
-            if metered:
-                record_theory(
-                    checks=self._stats["theory_checks"] - entry[0],
-                    pivots=self._stats["theory_pivots"] - entry[1],
-                    conflicts=self._stats["theory_conflicts"] - entry[2],
-                )
+            # The check's theory deltas go out once, including aborts
+            # (budget.charge raises CompileInterrupted mid-loop).
+            if hooked:
+                event("smt.theory", "solver",
+                      d_checks=self._stats["theory_checks"] - entry[0],
+                      d_pivots=self._stats["theory_pivots"] - entry[1],
+                      d_conflicts=self._stats["theory_conflicts"] - entry[2])
 
     # ------------------------------------------------------------------
     def _working_simplex(self) -> Simplex:

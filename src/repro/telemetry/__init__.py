@@ -3,10 +3,12 @@
 One process-wide :class:`MetricRegistry` (:data:`REGISTRY`) is the sink
 every surface feeds — gateway request latency, pipeline pass timing,
 scheduler saturation, L1/L2 cache traffic, store bytes, live SAT/SMT/OMT
-solver rates, and process resources.  Like ``repro.trace`` and
-``repro.resilience``, the registry is *off* until something enables it
-(the HTTP gateway does on construction); a disabled hook costs one
-module-global flag read (~40 ns).
+solver rates, and process resources.  Instrumented code reaches it
+through the :func:`repro.trace.span` / :func:`repro.trace.event` hooks
+(routed by :data:`repro.telemetry.instruments.SINKS`) and scrape-time
+collectors.  Like ``repro.trace`` and ``repro.resilience``, the registry
+is *off* until something enables it (the HTTP gateway does on
+construction); a disabled hook costs one module-global flag read.
 
 Counters and histograms additionally aggregate into a sliding window
 (ring of 15 s time buckets spanning 15 minutes), so rates and

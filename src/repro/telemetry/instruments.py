@@ -1,9 +1,11 @@
-"""The stack's named metric families and their hot-path hook helpers.
+"""The stack's named metric families and the hooks that feed them.
 
-Everything the serving stack measures registers here, once, at import —
-call sites use the ``record_*`` helpers, each of which opens with the
-``telemetry_enabled()`` fast path so a disabled hook costs one global
-read regardless of how many families it would touch.
+Everything the serving stack measures registers here, once, at import.
+Instrumented code never touches these families on its hot path: it calls
+the :func:`repro.trace.span` / :func:`repro.trace.event` hooks, and
+while telemetry is enabled every finished span and every point event
+reaches :func:`observe`.  :data:`SINKS` is the one table that says which
+hook feeds which family; hooks it does not name only reach the tracer.
 
 Family naming follows Prometheus conventions: ``repro_`` prefix, base
 units (seconds, bytes), ``_total`` suffix on counters.
@@ -11,21 +13,17 @@ units (seconds, bytes), ``_total`` suffix on counters.
 
 from __future__ import annotations
 
-from repro.telemetry.registry import REGISTRY, telemetry_enabled
+from typing import Dict, Mapping, Optional, Tuple
+
+from repro.telemetry.registry import REGISTRY, _quantile_from_buckets
+from repro.trace.tracer import MetricSink
 
 __all__ = [
-    "record_auth",
-    "record_cache",
-    "record_compile",
-    "record_http_request",
-    "record_job_event",
-    "record_omt_rounds",
-    "record_pass",
-    "record_peer_fetch",
-    "record_sat_progress",
-    "record_scheduler_saturation",
-    "record_shed",
-    "record_theory",
+    "SINKS",
+    "observe",
+    "passes_snapshot",
+    "requests_snapshot",
+    "snapshot_histogram_family",
 ]
 
 # -- HTTP gateway ----------------------------------------------------------
@@ -181,110 +179,143 @@ SERVER_JOBS_TRACKED = REGISTRY.gauge(
 )
 
 
-# -- hot-path helpers ------------------------------------------------------
+# -- hook sinks ------------------------------------------------------------
 
-def record_http_request(route: str, status: int, seconds: float) -> None:
-    """One served request: count, error class, latency."""
-    if not telemetry_enabled():
+def _http_request(_name: str, fields: Mapping, seconds: Optional[float]) -> None:
+    status, route = fields["status"], fields["route"]
+    if not status:  # the client went away or a fault aborted the answer
         return
     HTTP_REQUESTS.labels(route).inc()
-    if status >= 500:
-        HTTP_ERRORS.labels(route, "server").inc()
-    elif status >= 400:
-        HTTP_ERRORS.labels(route, "client").inc()
+    if status >= 400:
+        HTTP_ERRORS.labels(route, "server" if status >= 500 else "client").inc()
     HTTP_LATENCY.labels(route).observe(seconds)
 
 
-def record_pass(name: str, seconds: float) -> None:
-    """One completed pipeline pass."""
-    if not telemetry_enabled():
-        return
-    PASS_LATENCY.labels(name).observe(seconds)
+def _compile(_name: str, fields: Mapping, seconds: Optional[float]) -> None:
+    if fields["gates_out"] is not None:  # the pipeline produced a circuit
+        COMPILE_LATENCY.labels(fields["technique"]).observe(seconds)
 
 
-def record_compile(technique: str, seconds: float) -> None:
-    """One end-to-end compile (cache misses that ran the pipeline)."""
-    if not telemetry_enabled():
-        return
-    COMPILE_LATENCY.labels(technique).observe(seconds)
+def _solver_events(**deltas: int) -> None:
+    for event, amount in deltas.items():
+        if amount:
+            SOLVER_EVENTS.labels(event).inc(amount)
 
 
-def record_cache(tier: str, outcome: str) -> None:
-    """One cache lookup: ``tier`` in {l1, l2}, ``outcome`` in {hit, miss}."""
-    if not telemetry_enabled():
-        return
-    CACHE_REQUESTS.labels(tier, outcome).inc()
+def _sat_progress(_name: str, fields: Mapping, _seconds: Optional[float]) -> None:
+    _solver_events(conflicts=fields["d_conflicts"],
+                   propagations=fields["d_propagations"],
+                   decisions=fields["d_decisions"],
+                   restarts=fields["d_restarts"])
+    SOLVER_LEARNED_CLAUSES.set(fields["learned"])
 
 
-def record_scheduler_saturation(queue_depth: int, workers_busy: int,
-                                jobs_pending: int) -> None:
-    """Live saturation gauges, pushed at submit/start/finish."""
-    if not telemetry_enabled():
-        return
-    QUEUE_DEPTH.set(queue_depth)
-    WORKERS_BUSY.set(workers_busy)
-    JOBS_PENDING.set(jobs_pending)
+#: ``cache.*`` events name the tier by its storage ``level``.
+_CACHE_TIERS = {"memory": "l1", "persistent": "l2"}
+
+#: Hook name -> the registry update it drives.  Spans arrive with their
+#: duration in seconds, point events with ``None``.  A key ending in
+#: ``:`` matches every hook with that prefix (``pass:route``, ...).
+SINKS: Dict[str, MetricSink] = {
+    "http.request": _http_request,
+    "pass:": lambda name, _f, seconds: PASS_LATENCY.labels(
+        name[len("pass:"):]).observe(seconds),
+    "pipeline": _compile,
+    "cache.hit": lambda _n, fields, _s: CACHE_REQUESTS.labels(
+        _CACHE_TIERS[fields["level"]], "hit").inc(),
+    "cache.miss": lambda _n, fields, _s: CACHE_REQUESTS.labels(
+        _CACHE_TIERS[fields["level"]], "miss").inc(),
+    "job.notify": lambda _n, fields, _s: JOB_EVENTS_PUBLISHED.labels(
+        fields["event"]).inc(),
+    "sat.conflicts": _sat_progress,
+    "smt.theory": lambda _n, fields, _s: _solver_events(
+        theory_checks=fields["d_checks"], theory_pivots=fields["d_pivots"],
+        theory_conflicts=fields["d_conflicts"]),
+    "omt.optimize": lambda _n, fields, _s: _solver_events(
+        omt_rounds=fields["d_rounds"]),
+    "auth.decision": lambda _n, fields, _s: AUTH_REQUESTS.labels(
+        fields["key"], fields["outcome"]).inc(),
+    "admission.shed": lambda _n, fields, _s: SHED_REQUESTS.labels(
+        fields["key"]).inc(),
+    "store.peer_fetch": lambda _n, fields, _s: STORE_PEER_FETCHES.labels(
+        fields["backend"], fields["outcome"]).inc(),
+}
 
 
-def record_sat_progress(conflicts: int, propagations: int, decisions: int,
-                        restarts: int, learned: int) -> None:
-    """Flush SAT search deltas (milestone checkpoints and solve exit)."""
-    if not telemetry_enabled():
-        return
-    if conflicts:
-        SOLVER_EVENTS.labels("conflicts").inc(conflicts)
-    if propagations:
-        SOLVER_EVENTS.labels("propagations").inc(propagations)
-    if decisions:
-        SOLVER_EVENTS.labels("decisions").inc(decisions)
-    if restarts:
-        SOLVER_EVENTS.labels("restarts").inc(restarts)
-    SOLVER_LEARNED_CLAUSES.set(learned)
+def observe(name: str, fields: Mapping[str, object],
+            seconds: Optional[float]) -> None:
+    """The metric sink: route one finished span or point event."""
+    head, colon, _rest = name.partition(":")
+    sink = SINKS.get(head + colon)
+    if sink is not None:
+        sink(name, fields, seconds)
 
 
-def record_theory(checks: int, pivots: int, conflicts: int) -> None:
-    """Flush DPLL(T) theory-engine deltas at the end of a check."""
-    if not telemetry_enabled():
-        return
-    if checks:
-        SOLVER_EVENTS.labels("theory_checks").inc(checks)
-    if pivots:
-        SOLVER_EVENTS.labels("theory_pivots").inc(pivots)
-    if conflicts:
-        SOLVER_EVENTS.labels("theory_conflicts").inc(conflicts)
+# -- JSON views (the gateway's /metrics document) --------------------------
+
+def _bucket_label(bound_seconds: float) -> str:
+    millis = 1e3 * bound_seconds
+    return f"le_{int(millis)}ms" if millis == int(millis) else f"le_{millis}ms"
 
 
-def record_omt_rounds(rounds: int) -> None:
-    """Flush OMT improvement rounds at the end of an optimize call."""
-    if not telemetry_enabled():
-        return
-    if rounds:
-        SOLVER_EVENTS.labels("omt_rounds").inc(rounds)
+def snapshot_histogram_family(family, label_name: str) -> Dict[str, Dict[str, object]]:
+    """JSON block for one labelled histogram family, keyed by label value.
+
+    Lifetime ``count``/``total_seconds``/``mean_ms``/``p50_ms``/``p95_ms``
+    plus a *non-cumulative* ``histogram_ms`` and a ``windows`` sub-dict
+    of 1/5/15-minute percentiles from the registry's sliding ring.
+    """
+    snapshot: Dict[str, Dict[str, object]] = {}
+    for sample in family.snapshot()["samples"]:
+        count = sample["count"]
+        total = sample["sum"]
+        bounds = [bound for bound, _running in sample["buckets"]]
+        # Buckets arrive cumulative; the JSON block is non-cumulative,
+        # with the +Inf overflow last.
+        running = [running for _bound, running in sample["buckets"]] + [count]
+        flat = [after - before for before, after in zip([0] + running, running)]
+        histogram = {_bucket_label(bound): n for bound, n in zip(bounds, flat)}
+        histogram["le_inf"] = flat[-1]
+        snapshot[sample["labels"].get(label_name, "")] = {
+            "count": count,
+            "total_seconds": total,
+            "mean_ms": 1e3 * total / count if count else 0.0,
+            "p50_ms": 1e3 * _quantile_from_buckets(bounds, flat, count, 0.50),
+            "p95_ms": 1e3 * _quantile_from_buckets(bounds, flat, count, 0.95),
+            "histogram_ms": histogram,
+            "windows": {
+                window: {
+                    "count": stats["count"],
+                    "p50_ms": 1e3 * stats["p50"],
+                    "p95_ms": 1e3 * stats["p95"],
+                    "p99_ms": 1e3 * stats["p99"],
+                }
+                for window, stats in sample["windows"].items()
+            },
+        }
+    return snapshot
 
 
-def record_auth(key: str, outcome: str) -> None:
-    """One authentication decision for a (possibly anonymous) key."""
-    if not telemetry_enabled():
-        return
-    AUTH_REQUESTS.labels(key, outcome).inc()
+def passes_snapshot() -> Dict[str, Dict[str, object]]:
+    """``/metrics`` ``passes`` block: latency per pipeline pass."""
+    return snapshot_histogram_family(PASS_LATENCY, "pass")
 
 
-def record_shed(key: str) -> None:
-    """One submission refused by the load shedder."""
-    if not telemetry_enabled():
-        return
-    SHED_REQUESTS.labels(key).inc()
+def requests_snapshot() -> Dict[str, Dict[str, object]]:
+    """``/metrics`` ``requests`` block: latency and errors per route.
 
-
-def record_peer_fetch(backend: str, outcome: str) -> None:
-    """One peer fetch attempt: ``outcome`` in {hit, miss, error}."""
-    if not telemetry_enabled():
-        return
-    STORE_PEER_FETCHES.labels(backend, outcome).inc()
-
-
-def record_job_event(event: str) -> None:
-    """One job lifecycle event published to the streaming broker."""
-    if not telemetry_enabled():
-        return
-    JOB_EVENTS_PUBLISHED.labels(event).inc()
+    The percentile keys say what they measure: ``_lifetime``
+    interpolation vs the ``windows`` sub-dict's 1m/5m/15m rings.
+    """
+    errors: Dict[Tuple[str, str], int] = {}
+    for sample in HTTP_ERRORS.snapshot()["samples"]:
+        labels = sample["labels"]
+        errors[(labels["route"], labels["kind"])] = int(sample["value"])
+    snapshot: Dict[str, Dict[str, object]] = {}
+    for route, block in snapshot_histogram_family(HTTP_LATENCY, "route").items():
+        block["p50_ms_lifetime"] = block.pop("p50_ms")
+        block["p95_ms_lifetime"] = block.pop("p95_ms")
+        block["server_errors"] = errors.get((route, "server"), 0)
+        block["client_errors"] = errors.get((route, "client"), 0)
+        snapshot[route] = block
+    return snapshot

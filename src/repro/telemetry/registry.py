@@ -17,12 +17,13 @@ Three instrument kinds, all label-aware:
     ring from which p50/p95/p99 over the last 1/5/15 minutes are
     interpolated — no raw samples are retained.
 
-Hot-path discipline matches ``repro.trace``/``repro.resilience``: every
-mutating method begins ``if not _ENABLED: return`` where ``_ENABLED``
-is a module global, so a disabled hook costs one global read (~40 ns,
-tracked in BENCH_perf.json's ``telemetry`` key).  ``os.register_at_fork``
-resets child copies — fresh locks, zeroed values — so a forked pool
-worker never re-reports its parent's counts.
+Instrumented code reaches the registry through the ``repro.trace``
+hooks (see :mod:`repro.telemetry.instruments`); enabling telemetry
+connects them.  Every mutating method still begins ``if not _ENABLED:
+return`` where ``_ENABLED`` is a module global, so direct updates
+(collectors, live gauges) cost one global read when off.
+``os.register_at_fork`` resets child copies — fresh locks, zeroed
+values — so a forked pool worker never re-reports its parent's counts.
 
 The sliding window is a ring of 60 slots x 15 s = 15 minutes.  Each
 slot is tagged with its epoch (``now // 15``); writes lazily reset
@@ -39,6 +40,8 @@ import threading
 import time
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.trace.tracer import set_metric_sink
 
 __all__ = [
     "Counter",
@@ -77,15 +80,23 @@ def telemetry_enabled() -> bool:
 
 
 def enable_telemetry() -> None:
-    """Turn recording on process-wide (idempotent)."""
+    """Turn recording on process-wide (idempotent).
+
+    Also connects the :mod:`repro.trace` hooks to the registry, so every
+    instrumented span and event feeds its metric family.
+    """
+    from repro.telemetry.instruments import observe  # imports this module
+
     global _ENABLED
     _ENABLED = True
+    set_metric_sink(observe)
 
 
 def disable_telemetry() -> None:
     """Turn recording off process-wide (tests, benchmarks)."""
     global _ENABLED
     _ENABLED = False
+    set_metric_sink(None)
 
 
 def _quantile_from_buckets(
@@ -117,6 +128,15 @@ def _quantile_from_buckets(
     return float(bounds[-1])
 
 
+def _window_slots(epochs: List[int], window_seconds: float,
+                  now: float) -> List[int]:
+    """Ring slots whose epoch lies in the window ending at ``now``."""
+    epoch = int(now // _SLOT_SECONDS)
+    span = min(_SLOT_COUNT, max(1, int(window_seconds // _SLOT_SECONDS)))
+    return [wanted % _SLOT_COUNT for wanted in range(epoch - span + 1, epoch + 1)
+            if epochs[wanted % _SLOT_COUNT] == wanted]
+
+
 class _ScalarRing:
     """Per-slot float accumulator for counter increments."""
 
@@ -135,13 +155,9 @@ class _ScalarRing:
         self.values[slot] += amount
 
     def total(self, window_seconds: float, now: float) -> float:
-        epoch = int(now // _SLOT_SECONDS)
-        span = min(_SLOT_COUNT, max(1, int(window_seconds // _SLOT_SECONDS)))
         total = 0.0
-        for wanted in range(epoch - span + 1, epoch + 1):
-            slot = wanted % _SLOT_COUNT
-            if self.epochs[slot] == wanted:
-                total += self.values[slot]
+        for slot in _window_slots(self.epochs, window_seconds, now):
+            total += self.values[slot]
         return total
 
 
@@ -172,15 +188,10 @@ class _HistogramRing:
     def merged(
         self, window_seconds: float, now: float,
     ) -> Tuple[List[int], float, int]:
-        epoch = int(now // _SLOT_SECONDS)
-        span = min(_SLOT_COUNT, max(1, int(window_seconds // _SLOT_SECONDS)))
         counts = [0] * self._width
         total_sum = 0.0
         total_count = 0
-        for wanted in range(epoch - span + 1, epoch + 1):
-            slot = wanted % _SLOT_COUNT
-            if self.epochs[slot] != wanted:
-                continue
+        for slot in _window_slots(self.epochs, window_seconds, now):
             slot_buckets = self.buckets[slot]
             for index in range(self._width):
                 counts[index] += slot_buckets[index]
@@ -231,21 +242,10 @@ class Counter:
                 for name, seconds in WINDOWS.items()
             }
 
-    def _reset(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
-        self._ring = _ScalarRing()
+    _reset = __init__
 
     def _snapshot(self) -> Dict[str, object]:
-        now = _now()
-        with self._lock:
-            return {
-                "value": self.value,
-                "rates": {
-                    name: self._ring.total(seconds, now) / seconds
-                    for name, seconds in WINDOWS.items()
-                },
-            }
+        return {"value": self.value, "rates": self.rates()}
 
 
 class Gauge:
@@ -275,9 +275,7 @@ class Gauge:
         with self._lock:
             self.value -= amount
 
-    def _reset(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
+    _reset = __init__
 
     def _snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -311,12 +309,16 @@ class Histogram:
 
     def window_stats(self, window: str = "5m") -> Dict[str, float]:
         """``{count, sum, p50, p95, p99}`` over one named window."""
-        seconds = WINDOWS[window]
         now = _now()
         with self._lock:
-            counts, total_sum, total_count = self._ring.merged(seconds, now)
+            stats = self._window(WINDOWS[window], now)
+        stats["count"] = float(stats["count"])
+        return stats
+
+    def _window(self, seconds: float, now: float) -> Dict[str, float]:
+        counts, total_sum, total_count = self._ring.merged(seconds, now)
         return {
-            "count": float(total_count),
+            "count": total_count,
             "sum": total_sum,
             "p50": _quantile_from_buckets(self.bounds, counts, total_count, 0.50),
             "p95": _quantile_from_buckets(self.bounds, counts, total_count, 0.95),
@@ -324,11 +326,7 @@ class Histogram:
         }
 
     def _reset(self) -> None:
-        self._lock = threading.Lock()
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-        self._ring = _HistogramRing(len(self.bounds) + 1)
+        self.__init__(self.bounds)
 
     def _snapshot(self) -> Dict[str, object]:
         now = _now()
@@ -336,16 +334,8 @@ class Histogram:
             lifetime = list(self.counts)
             total_sum = self.sum
             total_count = self.count
-            windows = {}
-            for name, seconds in WINDOWS.items():
-                counts, w_sum, w_count = self._ring.merged(seconds, now)
-                windows[name] = {
-                    "count": w_count,
-                    "sum": w_sum,
-                    "p50": _quantile_from_buckets(self.bounds, counts, w_count, 0.50),
-                    "p95": _quantile_from_buckets(self.bounds, counts, w_count, 0.95),
-                    "p99": _quantile_from_buckets(self.bounds, counts, w_count, 0.99),
-                }
+            windows = {name: self._window(seconds, now)
+                       for name, seconds in WINDOWS.items()}
         cumulative = []
         running = 0
         for bound, bucket_count in zip(self.bounds, lifetime):

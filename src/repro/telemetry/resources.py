@@ -7,8 +7,8 @@ starts once per process; each tick refreshes the ``repro_process_*``
 gauges/counters in the registry.
 
 :func:`resource_usage` is the cheap probe the pipeline wraps around a
-compile to attribute CPU seconds and peak RSS to its
-``CompilationReport``.
+compile (from :func:`attribution_start`, while telemetry is enabled) to
+attribute CPU seconds and peak RSS to its ``CompilationReport``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.telemetry.registry import telemetry_enabled
 
 __all__ = [
     "ResourceSampler",
+    "attribution_start",
     "resource_usage",
     "sample_resources",
     "start_resource_sampler",
@@ -51,6 +52,12 @@ def resource_usage() -> Tuple[float, int]:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     cpu = usage.ru_utime + usage.ru_stime
     return cpu, int(usage.ru_maxrss) * _MAXRSS_SCALE
+
+
+def attribution_start() -> Optional[Tuple[float, int]]:
+    """:func:`resource_usage` to attribute a compile from, or ``None``
+    while telemetry is off (nothing is attributed then)."""
+    return resource_usage() if telemetry_enabled() else None
 
 
 def _current_rss_bytes() -> int:

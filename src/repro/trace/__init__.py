@@ -1,11 +1,14 @@
 """``repro.trace``: opt-in structured event tracing across the stack.
 
-Enable globally with :func:`start_tracing` (or the ``REPRO_TRACE``
-environment variable, honoured automatically on import — including in
-spawned worker processes, which inherit the environment), per call with
+Instrumented code makes one hook call per site, :func:`span` or
+:func:`event`; each feeds the JSONL tracer and, while
+:mod:`repro.telemetry` is enabled, the metric registry.  Enable tracing
+globally with :func:`start_tracing` (or the ``REPRO_TRACE`` environment
+variable, honoured automatically on import — including in spawned worker
+processes, which inherit the environment), per call with
 ``compile(..., trace="run.jsonl")``, or per component (service/server
-constructors take ``trace=``).  When off, every instrumentation hook
-costs one module-global flag read.
+constructors take ``trace=``).  With both sinks off, a hook costs one
+module-global flag read.
 
 Analyze traces with :mod:`repro.trace.reader` or the
 ``python -m repro.trace`` CLI.
@@ -15,12 +18,6 @@ from __future__ import annotations
 
 import os
 
-from repro.trace.metrics import (
-    PASS_METRICS,
-    PassMetricsRegistry,
-    enable_pass_metrics,
-    observe_pass,
-)
 from repro.trace.reader import (
     build_spans,
     diff_summaries,
@@ -37,13 +34,17 @@ from repro.trace.tracer import (
     TRACE_ENV_VAR,
     TRACE_HEADER,
     NullTracer,
+    Span,
     TraceContext,
     Tracer,
     capture_context,
     current_tracer,
+    event,
     global_tracer,
+    hooks_active,
     resume_context,
     scoped_tracer,
+    span,
     start_tracing,
     stop_tracing,
     tracing_active,
@@ -52,8 +53,7 @@ from repro.trace.tracer import (
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "PASS_METRICS",
-    "PassMetricsRegistry",
+    "Span",
     "TRACE_ENV_VAR",
     "TRACE_HEADER",
     "TraceContext",
@@ -63,15 +63,16 @@ __all__ = [
     "capture_context",
     "current_tracer",
     "diff_summaries",
-    "enable_pass_metrics",
+    "event",
     "global_tracer",
+    "hooks_active",
     "load_events",
-    "observe_pass",
     "parse_remote_parent",
     "pass_totals",
     "resolve_parent",
     "resume_context",
     "scoped_tracer",
+    "span",
     "start_tracing",
     "stop_tracing",
     "summarize",

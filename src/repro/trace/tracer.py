@@ -7,13 +7,18 @@ event (see :mod:`repro.trace.schema` for the checked-in schema): a span
 ``time.perf_counter()`` (monotonic within a process); parent links are
 explicit span ids, so traces merged across processes still reconstruct.
 
-Tracing is **opt-in and near-zero-overhead when off**: every hook in the
-compile stack first checks the module-level :func:`tracing_active` flag —
-a single global ``bool`` read — and bails out before building any event.
-The active tracer is resolved through :func:`current_tracer`, which
-consults a context-variable scope first (per-``compile(trace=...)``
-overrides, cross-thread span resumption) and the installed global tracer
-second (``REPRO_TRACE`` / :func:`start_tracing`).
+Instrumented code calls two hooks, :func:`span` and :func:`event`.  A
+hook is **near-zero-overhead when off**: it checks one module global,
+true while a tracer is active or the metric registry records, and bails
+out before building anything.  When on, a finished span or a point
+event goes to the active tracer (if any) and to the metric sink that
+:mod:`repro.telemetry` installs while it is enabled — one call per site
+feeds both.  Spans always time themselves, so callers such as the
+pipeline read a stage's duration from its span.  The active tracer is
+resolved through :func:`current_tracer`, which consults a
+context-variable scope first (per-``compile(trace=...)`` overrides,
+cross-thread span resumption) and the installed global tracer second
+(``REPRO_TRACE`` / :func:`start_tracing`).
 
 Writes are thread- and multiprocess-safe: events buffer per tracer under
 a lock and flush as one ``os.write`` to an ``O_APPEND`` descriptor, so
@@ -25,17 +30,27 @@ own copy), preventing duplicated events from process pools.
 from __future__ import annotations
 
 import atexit
+import contextvars
 import itertools
 import json
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Mapping, Optional, Union
 
-#: Fast-path switch read by every instrumentation hook.  True while a
-#: global tracer is installed or at least one scoped activation is live.
+#: True while a global tracer is installed or at least one scoped
+#: activation is live.
 _ACTIVE = False
+
+MetricSink = Callable[[str, Mapping[str, object], Optional[float]], None]
+
+#: The ``(name, fields, seconds)`` sink :mod:`repro.telemetry` installs
+#: while the registry records; ``None`` when off.
+_METRIC_SINK: Optional[MetricSink] = None
+
+#: The switch every hook reads: ``_ACTIVE or _METRIC_SINK is not None``.
+_ON = False
 
 #: Number of live activations (global install counts as one).
 _ACTIVE_COUNT = 0
@@ -45,18 +60,15 @@ _ACTIVE_LOCK = threading.Lock()
 #: the GIL).  Span ids are unique per process; readers key by (pid, span).
 _SPAN_IDS = itertools.count(1)
 
-try:  # contextvars is 3.7+; repro requires 3.9, so this always succeeds.
-    import contextvars
 
-    _SCOPE: "contextvars.ContextVar[Optional[_Scope]]" = contextvars.ContextVar(
-        "repro_trace_scope", default=None
-    )
-except ImportError:  # pragma: no cover - unreachable on supported pythons
-    raise
+class TraceContext:
+    """A (tracer, span) pair: the context-local tracing state.
 
-
-class _Scope:
-    """The context-local tracing state: which tracer, which parent span."""
+    It is also the captured form for cross-thread span parenting: the
+    service captures the submitting request's context onto the job and
+    resumes it on the worker thread, so pipeline and solver spans parent
+    correctly even though they run on a different thread.
+    """
 
     __slots__ = ("tracer", "span_id")
 
@@ -64,19 +76,41 @@ class _Scope:
         self.tracer = tracer
         self.span_id = span_id
 
+    def __repr__(self) -> str:
+        return f"TraceContext(span={self.span_id}, file={self.tracer.path!r})"
+
+
+_SCOPE: "contextvars.ContextVar[Optional[TraceContext]]" = contextvars.ContextVar(
+    "repro_trace_scope", default=None)
+
 
 def _activate() -> None:
-    global _ACTIVE, _ACTIVE_COUNT
+    global _ACTIVE, _ACTIVE_COUNT, _ON
     with _ACTIVE_LOCK:
         _ACTIVE_COUNT += 1
-        _ACTIVE = True
+        _ACTIVE = _ON = True
 
 
 def _deactivate() -> None:
-    global _ACTIVE, _ACTIVE_COUNT
+    global _ACTIVE, _ACTIVE_COUNT, _ON
     with _ACTIVE_LOCK:
         _ACTIVE_COUNT = max(0, _ACTIVE_COUNT - 1)
         _ACTIVE = _ACTIVE_COUNT > 0
+        _ON = _ACTIVE or _METRIC_SINK is not None
+
+
+def set_metric_sink(sink: Optional[MetricSink]) -> None:
+    """Install (or with ``None`` remove) the metric sink the hooks feed."""
+    global _METRIC_SINK, _ON
+    with _ACTIVE_LOCK:
+        _METRIC_SINK = sink
+        _ON = _ACTIVE or sink is not None
+
+
+def hooks_active() -> bool:
+    """True when the hooks reach a tracer or the registry (hot loops read
+    it once per call and guard their hooks with the local copy)."""
+    return _ON
 
 
 def tracing_active() -> bool:
@@ -119,24 +153,6 @@ class NullTracer:
 
 #: The shared disabled tracer returned whenever tracing is off.
 NULL_TRACER = NullTracer()
-
-
-class TraceContext:
-    """A captured (tracer, span) pair for cross-thread span parenting.
-
-    The service captures the submitting request's context onto the job
-    and resumes it on the worker thread, so pipeline and solver spans
-    parent correctly even though they run on a different thread.
-    """
-
-    __slots__ = ("tracer", "span_id")
-
-    def __init__(self, tracer: "Tracer", span_id: Optional[int]) -> None:
-        self.tracer = tracer
-        self.span_id = span_id
-
-    def __repr__(self) -> str:
-        return f"TraceContext(span={self.span_id}, file={self.tracer.path!r})"
 
 
 class Tracer:
@@ -242,13 +258,15 @@ class Tracer:
         """Open a span; returns the token :meth:`end` needs.
 
         The low-level pair exists (beyond :meth:`span`) so callers can
-        attach fields computed *during* the span to its ``end`` event —
-        the pipeline records each pass's size counters that way.
+        attach fields computed *during* the span to its ``end`` event.
         """
+        return self._begin(name, layer, fields, time.perf_counter())
+
+    def _begin(self, name: str, layer: str, fields: Mapping[str, object],
+               started: float):
         span_id = next(_SPAN_IDS)
         parent_scope = _SCOPE.get()
         parent = parent_scope.span_id if parent_scope is not None else None
-        started = time.perf_counter()
         self._emit({
             "kind": "begin",
             "ts": started,
@@ -260,15 +278,16 @@ class Tracer:
             "parent": parent,
             "fields": fields,
         })
-        reset = _SCOPE.set(_Scope(self, span_id))
+        reset = _SCOPE.set(TraceContext(self, span_id))
         return (span_id, name, layer, started, reset)
 
     def end(self, token, **fields: object) -> None:
         """Close a span opened by :meth:`begin`."""
-        if token is None:
-            return
+        if token is not None:
+            self._end(token, fields, time.perf_counter())
+
+    def _end(self, token, fields: Mapping[str, object], ended: float) -> None:
         span_id, name, layer, started, reset = token
-        ended = time.perf_counter()
         _SCOPE.reset(reset)
         self._emit({
             "kind": "end",
@@ -307,7 +326,7 @@ class Tracer:
         parent on a worker thread.
         """
         _activate()
-        reset = _SCOPE.set(_Scope(self, parent))
+        reset = _SCOPE.set(TraceContext(self, parent))
         try:
             yield self
         finally:
@@ -461,7 +480,7 @@ def scoped_tracer(
         return
     if target is False:
         _activate()  # Keep _ACTIVE truthful while the null scope is live.
-        reset = _SCOPE.set(_Scope(NULL_TRACER, None))  # type: ignore[arg-type]
+        reset = _SCOPE.set(TraceContext(NULL_TRACER, None))  # type: ignore[arg-type]
         try:
             yield NULL_TRACER
         finally:
@@ -489,6 +508,74 @@ def scoped_tracer(
             yield tracer
     finally:
         tracer.close()
+
+
+# ---------------------------------------------------------------------------
+# The instrumentation hooks
+# ---------------------------------------------------------------------------
+class Span:
+    """A timed region opened by :func:`span`; :meth:`end` closes it.
+
+    It times itself whether or not anything listens, so its duration can
+    feed a report as well as the tracer and the registry.  As a context
+    manager it ends (without fields) on exit.
+    """
+
+    __slots__ = ("name", "fields", "started", "_tracer", "_token")
+
+    def __init__(self, name: str, fields: Mapping[str, object], started: float,
+                 tracer: Union[Tracer, NullTracer], token) -> None:
+        self.name = name
+        self.fields = fields
+        self.started = started
+        self._tracer = tracer
+        self._token = token
+
+    @property
+    def span_id(self) -> Optional[int]:
+        """The trace span id, or ``None`` when no tracer records this span."""
+        return self._token[0] if self._token is not None else None
+
+    def end(self, **fields: object) -> float:
+        """Close the span and return its duration in seconds.
+
+        ``fields`` land on the trace ``end`` event; the metric sink sees
+        them merged over the span's opening fields.
+        """
+        ended = time.perf_counter()
+        if self._token is not None:
+            self._tracer._end(self._token, fields, ended)
+        seconds = ended - self.started
+        sink = _METRIC_SINK
+        if sink is not None:
+            sink(self.name, {**self.fields, **fields}, seconds)
+        return seconds
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.end()
+
+
+def span(name: str, layer: str, **fields: object) -> Span:
+    """Open a span: traced while a tracer is active, metered when it ends."""
+    started = time.perf_counter()
+    tracer = current_tracer()
+    token = tracer._begin(name, layer, fields, started) if tracer.enabled else None
+    return Span(name, fields, started, tracer, token)
+
+
+def event(name: str, layer: str, **fields: object) -> None:
+    """Record a point event to the active tracer and the metric sink."""
+    if not _ON:
+        return
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.event(name, layer, **fields)
+    sink = _METRIC_SINK
+    if sink is not None:
+        sink(name, fields, None)
 
 
 # ---------------------------------------------------------------------------

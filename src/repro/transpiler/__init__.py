@@ -16,7 +16,8 @@ baseline adaptation techniques (Section III) and the SMT-based adaptation
 * :mod:`repro.transpiler.cost` -- fidelity / duration / idle-time cost
   analysis of a circuit on a target.
 
-The template-optimization baseline lives in :mod:`repro.core.baselines`
+The template-optimization baseline lives in the pass pipeline
+(:mod:`repro.pipeline.passes`, techniques ``template_f``/``template_r``)
 because it shares the substitution-rule machinery with the SMT adapter.
 """
 

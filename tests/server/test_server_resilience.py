@@ -133,6 +133,12 @@ class TestRetryAfterEmission:
             # fill the one queue slot.
             running = client.submit(qft_circuit(4), technique="sat_p",
                                     use_cache=False, deadline=30.0)
+            # The queue slot frees only once the worker has dequeued the
+            # pinned job; submitting earlier races the max_pending=1 bound.
+            dequeued_by = time.monotonic() + 60.0
+            while (running.status() != "running"
+                   and time.monotonic() < dequeued_by):
+                time.sleep(0.01)
             queued = client.submit(wire_circuit(), technique="direct",
                                    use_cache=False)
             saturated = None

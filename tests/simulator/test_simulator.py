@@ -21,6 +21,7 @@ from repro.simulator import (
     thermal_relaxation_kraus,
     total_variation_distance,
 )
+from repro.simulator.statevector import statevector_probabilities
 from repro.workloads import ghz_circuit
 
 
@@ -58,6 +59,15 @@ class TestStatevector:
     def test_wrong_initial_state_rejected(self):
         with pytest.raises(ValueError):
             simulate_statevector(QuantumCircuit(2), initial_state=np.ones(3))
+
+    def test_replacements_do_not_warn(self):
+        import warnings
+
+        circuit = ghz_circuit(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            circuit_probabilities(circuit)
+            statevector_probabilities(simulate_statevector(circuit), 2)
 
 
 class TestNoiseChannels:
