@@ -7,6 +7,9 @@ adiabatic and diabatic CZ of the spin-qubit platform, or the direct and
 composite swap) share a matrix but carry different names, so that cost
 models can attach distinct fidelities and durations to them.
 
+The parameter-free builders (``h()``, ``cz()``, ...) are cached: every call
+returns the same frozen instance, which is safe because gates are immutable.
+
 All matrices are given in little-endian convention: for a two-qubit gate
 acting on (q0, q1), q0 indexes the least significant bit of the basis state.
 Controlled gates take the *first* qubit of the instruction as the control.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,7 +101,8 @@ class Gate:
 
 
 def _freeze(matrix: np.ndarray) -> Tuple[Tuple[complex, ...], ...]:
-    return tuple(tuple(complex(entry) for entry in row) for row in matrix)
+    # ``tolist`` yields Python complex values bit-identical to ``complex(e)``.
+    return tuple(map(tuple, matrix.tolist()))
 
 
 def _gate(name: str, matrix: np.ndarray, params: Sequence[float] = ()) -> Gate:
@@ -119,46 +124,55 @@ def adjoint(gate: Gate) -> Gate:
 # ----------------------------------------------------------------------
 # Single-qubit gates
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
 def identity(num_qubits: int = 1) -> Gate:
     """Identity gate on ``num_qubits`` qubits."""
     return _gate("id", np.eye(2**num_qubits))
 
 
+@lru_cache(maxsize=None)
 def x() -> Gate:
     """Pauli X."""
     return _gate("x", np.array([[0, 1], [1, 0]]))
 
 
+@lru_cache(maxsize=None)
 def y() -> Gate:
     """Pauli Y."""
     return _gate("y", np.array([[0, -1j], [1j, 0]]))
 
 
+@lru_cache(maxsize=None)
 def z() -> Gate:
     """Pauli Z."""
     return _gate("z", np.array([[1, 0], [0, -1]]))
 
 
+@lru_cache(maxsize=None)
 def h() -> Gate:
     """Hadamard."""
     return _gate("h", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
+@lru_cache(maxsize=None)
 def s() -> Gate:
     """Phase gate S = sqrt(Z)."""
     return _gate("s", np.array([[1, 0], [0, 1j]]))
 
 
+@lru_cache(maxsize=None)
 def sdg() -> Gate:
     """Adjoint phase gate."""
     return _gate("sdg", np.array([[1, 0], [0, -1j]]))
 
 
+@lru_cache(maxsize=None)
 def t() -> Gate:
     """T gate (pi/8)."""
     return _gate("t", np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]]))
 
 
+@lru_cache(maxsize=None)
 def tdg() -> Gate:
     """Adjoint T gate."""
     return _gate("tdg", np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]]))
@@ -203,11 +217,13 @@ def u2(phi: float, lam: float) -> Gate:
     return _gate("u2", matrix, [phi, lam])
 
 
+@lru_cache(maxsize=None)
 def sx() -> Gate:
     """Square root of X, with SX^2 = X exactly (not just up to phase)."""
     return _gate("sx", np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2)
 
 
+@lru_cache(maxsize=None)
 def sxdg() -> Gate:
     """Adjoint square root of X."""
     return _gate("sxdg", np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]]) / 2)
@@ -236,21 +252,25 @@ def _controlled(name: str, target_matrix: np.ndarray, params: Sequence[float] = 
     return _gate(name, matrix, params)
 
 
+@lru_cache(maxsize=None)
 def cx() -> Gate:
     """Controlled-NOT (control = first qubit)."""
     return _controlled("cx", np.array([[0, 1], [1, 0]], dtype=complex))
 
 
+@lru_cache(maxsize=None)
 def cy() -> Gate:
     """Controlled-Y."""
     return _controlled("cy", np.array([[0, -1j], [1j, 0]], dtype=complex))
 
 
+@lru_cache(maxsize=None)
 def cz() -> Gate:
     """Controlled-Z (adiabatic CZ on the spin-qubit platform)."""
     return _gate("cz", np.diag([1, 1, 1, -1]))
 
 
+@lru_cache(maxsize=None)
 def cz_diabatic() -> Gate:
     """Diabatic CZ: same unitary as :func:`cz`, different hardware realization."""
     return _gate("cz_d", np.diag([1, 1, 1, -1]))
@@ -309,6 +329,7 @@ def CROTGate(theta: float, phi: float = 0.0) -> Gate:
     return crot(theta, phi)
 
 
+@lru_cache(maxsize=None)
 def swap() -> Gate:
     """SWAP gate (abstract)."""
     return _gate(
@@ -317,16 +338,19 @@ def swap() -> Gate:
     )
 
 
+@lru_cache(maxsize=None)
 def swap_direct() -> Gate:
     """Diabatic (direct) swap realization of the spin platform (swap_d)."""
     return swap().with_name("swap_d")
 
 
+@lru_cache(maxsize=None)
 def swap_composite() -> Gate:
     """Composite-pulse swap realization of the spin platform (swap_c)."""
     return swap().with_name("swap_c")
 
 
+@lru_cache(maxsize=None)
 def iswap() -> Gate:
     """iSWAP gate."""
     return _gate(

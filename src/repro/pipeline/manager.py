@@ -140,8 +140,12 @@ class Pipeline:
                 # whose passes never enter a solver loop.
                 check_budget(f"pass:{pass_.name}")
                 pass_span = span(f"pass:{pass_.name}", "pipeline")
-                pass_.run(context)
-                counters = dict(pass_.counters(context))
+                try:
+                    pass_.run(context)
+                    counters = dict(pass_.counters(context))
+                except BaseException as error:
+                    pass_span.end(error=type(error).__name__)
+                    raise
                 seconds = pass_span.end(**counters)
                 report.stages.append(PassStats(pass_.name, seconds, counters))
             if usage_start is not None:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.circuits import gates as glib
-from repro.circuits.circuit import Instruction, QuantumCircuit
+from repro.circuits.circuit import QuantumCircuit
 
 
 def zyz_decompose(matrix: np.ndarray, atol: float = 1e-12) -> Tuple[float, float, float, float]:
@@ -55,54 +56,113 @@ def u3_params(matrix: np.ndarray) -> Tuple[float, float, float, float]:
     return theta, phi, lam, gamma - (phi + lam) / 2
 
 
+#: ``numpy.allclose``'s default relative tolerance; the scalar tests below
+#: reproduce its rule ``|a - b| <= atol + rtol * |b|`` entry by entry.
+_RTOL = 1e-5
+
+#: A 2x2 matrix as its row-major entries ``(m00, m01, m10, m11)``.
+Entries = Tuple[complex, complex, complex, complex]
+
+
+@lru_cache(maxsize=None)
+def _candidates() -> Tuple[Tuple[glib.Gate, Entries, int], ...]:
+    """The named gates :func:`gate_from_matrix` recognizes, in test order.
+
+    Each comes with its row-major entries and the index of its
+    largest-magnitude entry (``numpy.argmax``'s choice), which
+    :func:`allclose_up_to_global_phase` uses to fix the relative phase.
+    """
+    table = []
+    for build in (glib.identity, glib.x, glib.y, glib.z, glib.h,
+                  glib.s, glib.sdg, glib.t, glib.tdg):
+        gate = build()
+        entries = gate.matrix[0] + gate.matrix[1]
+        pivot = int(np.argmax(np.abs(np.array(entries))))
+        table.append((gate, entries, pivot))
+    return tuple(table)
+
+
+def _equal_up_to_phase(first: Entries, pivot: int, second: Entries, atol: float) -> bool:
+    """Scalar :func:`allclose_up_to_global_phase` for a candidate ``first``
+    whose largest entry sits at ``pivot`` (and exceeds ``atol``)."""
+    if abs(second[pivot]) < atol:
+        return False
+    phase = second[pivot] / first[pivot]
+    if not abs(abs(phase) - 1.0) <= 1e-7 + _RTOL:
+        return False
+    for a, b in zip(first, second):
+        if not abs(a * phase - b) <= atol + _RTOL * abs(b):
+            return False
+    return True
+
+
+def _is_global_phase(m: Entries, atol: float) -> bool:
+    """True when ``m`` is ``phase * I`` (the identity included), judged as
+    ``numpy.allclose(m, m[0] * I, atol=atol)`` with ``|m[0]| = 1``."""
+    phase = m[0]
+    if abs(abs(phase) - 1.0) > atol:
+        return False
+    return (abs(m[1]) <= atol and abs(m[2]) <= atol
+            and abs(m[3] - phase) <= atol + _RTOL * abs(phase))
+
+
+def _is_identity(m: Entries, atol: float) -> bool:
+    """``numpy.allclose(m, I, atol=atol)``."""
+    return (abs(m[0] - 1.0) <= atol + _RTOL and abs(m[1]) <= atol
+            and abs(m[2]) <= atol and abs(m[3] - 1.0) <= atol + _RTOL)
+
+
+def _gate_from_entries(entries: Entries, atol: float) -> glib.Gate:
+    for gate, reference, pivot in _candidates():
+        if _equal_up_to_phase(reference, pivot, entries, atol):
+            return gate
+    theta, phi, lam, _ = u3_params(np.array(entries, dtype=complex).reshape(2, 2))
+    return glib.u3(theta, phi, lam)
+
+
 def gate_from_matrix(matrix: np.ndarray, atol: float = 1e-9):
     """Return a named gate reproducing a 2x2 unitary up to global phase.
 
-    Simple gates (identity, Pauli, Hadamard, S, T and their adjoints, plain
-    rotations) are recognized; anything else becomes a ``u3`` gate.
+    Simple gates (identity, Pauli, Hadamard, S, T and their adjoints) are
+    recognized with the tolerance rule of
+    :func:`repro.circuits.unitary.allclose_up_to_global_phase`; anything
+    else becomes a ``u3`` gate.
     """
-    from repro.circuits.unitary import allclose_up_to_global_phase
-
-    candidates = [
-        glib.identity(),
-        glib.x(),
-        glib.y(),
-        glib.z(),
-        glib.h(),
-        glib.s(),
-        glib.sdg(),
-        glib.t(),
-        glib.tdg(),
-    ]
-    for candidate in candidates:
-        if allclose_up_to_global_phase(candidate.to_matrix(), matrix, atol=atol):
-            return candidate
-    theta, phi, lam, _ = u3_params(matrix)
-    return glib.u3(theta, phi, lam)
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (2, 2):
+        raise ValueError("gate_from_matrix expects a 2x2 matrix")
+    return _gate_from_entries(tuple(matrix.ravel().tolist()), atol)
 
 
 def merge_single_qubit_runs(circuit: QuantumCircuit, atol: float = 1e-9) -> QuantumCircuit:
     """Merge consecutive single-qubit gates on the same qubit into one gate.
 
-    Runs that multiply to the identity are dropped entirely.  Multi-qubit
-    gates are left untouched and act as barriers.
+    Runs that multiply to the identity (up to global phase) are dropped
+    entirely.  Multi-qubit gates are left untouched and act as barriers.
+    Each pending run is a 2x2 product kept as four Python complex numbers.
     """
     merged = QuantumCircuit(circuit.num_qubits, circuit.name)
-    pending: dict[int, np.ndarray] = {}
+    pending: Dict[int, Entries] = {}
 
     def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is None:
+        entries = pending.pop(qubit, None)
+        if entries is None:
             return
-        if np.allclose(matrix, np.eye(2), atol=atol) or _is_global_phase(matrix, atol):
+        if _is_identity(entries, atol) or _is_global_phase(entries, atol):
             return
-        merged.append(gate_from_matrix(matrix, atol), [qubit])
+        merged.append(_gate_from_entries(entries, atol), [qubit])
 
     for instruction in circuit.instructions:
         if len(instruction.qubits) == 1:
             qubit = instruction.qubits[0]
-            current = pending.get(qubit, np.eye(2, dtype=complex))
-            pending[qubit] = instruction.gate.to_matrix() @ current
+            (a, b), (c, d) = instruction.gate.matrix
+            current = pending.get(qubit)
+            if current is None:
+                pending[qubit] = (a, b, c, d)
+            else:
+                e, f, g, h = current
+                pending[qubit] = (a * e + b * g, a * f + b * h,
+                                  c * e + d * g, c * f + d * h)
         else:
             for qubit in instruction.qubits:
                 flush(qubit)
@@ -110,10 +170,3 @@ def merge_single_qubit_runs(circuit: QuantumCircuit, atol: float = 1e-9) -> Quan
     for qubit in list(pending):
         flush(qubit)
     return merged
-
-
-def _is_global_phase(matrix: np.ndarray, atol: float) -> bool:
-    phase = matrix[0, 0]
-    if abs(abs(phase) - 1.0) > atol:
-        return False
-    return bool(np.allclose(matrix, phase * np.eye(2), atol=atol))

@@ -191,6 +191,11 @@ def _http_request(_name: str, fields: Mapping, seconds: Optional[float]) -> None
     HTTP_LATENCY.labels(route).observe(seconds)
 
 
+def _pass(name: str, fields: Mapping, seconds: Optional[float]) -> None:
+    if "error" not in fields:  # the pass ran to completion
+        PASS_LATENCY.labels(name[len("pass:"):]).observe(seconds)
+
+
 def _compile(_name: str, fields: Mapping, seconds: Optional[float]) -> None:
     if fields["gates_out"] is not None:  # the pipeline produced a circuit
         COMPILE_LATENCY.labels(fields["technique"]).observe(seconds)
@@ -218,8 +223,7 @@ _CACHE_TIERS = {"memory": "l1", "persistent": "l2"}
 #: ``:`` matches every hook with that prefix (``pass:route``, ...).
 SINKS: Dict[str, MetricSink] = {
     "http.request": _http_request,
-    "pass:": lambda name, _f, seconds: PASS_LATENCY.labels(
-        name[len("pass:"):]).observe(seconds),
+    "pass:": _pass,
     "pipeline": _compile,
     "cache.hit": lambda _n, fields, _s: CACHE_REQUESTS.labels(
         _CACHE_TIERS[fields["level"]], "hit").inc(),

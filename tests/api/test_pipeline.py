@@ -5,7 +5,8 @@ import pytest
 import repro
 from repro.api import resolve_technique
 from repro.hardware import spin_qubit_target
-from repro.pipeline import CompilationReport, Pipeline, PassStats
+from repro.pipeline import CompilationReport, Pass, Pipeline, PassStats
+from repro.trace import load_events, scoped_tracer, summarize
 
 #: The canonical stage sequence of the Fig. 2 flow.
 EXPECTED_STAGES = [
@@ -152,3 +153,41 @@ class TestReportContents:
         summary = result.report.summary()
         for name in EXPECTED_STAGES:
             assert name in summary
+
+
+class _Boom(Pass):
+    name = "boom"
+
+    def run(self, context):
+        raise RuntimeError("boom")
+
+
+class TestFailingPass:
+    def test_raising_pass_closes_its_span_and_propagates(self, tmp_path):
+        from repro.telemetry.instruments import passes_snapshot
+        from repro.telemetry.registry import (
+            disable_telemetry,
+            enable_telemetry,
+            telemetry_enabled,
+        )
+
+        path = tmp_path / "failing.jsonl"
+        pipeline = resolve_technique("direct").build_pipeline()
+        pipeline = pipeline.inserted_before("solve", _Boom())
+        was_enabled = telemetry_enabled()
+        enable_telemetry()
+        try:
+            with scoped_tracer(str(path)):
+                with pytest.raises(RuntimeError, match="boom"):
+                    pipeline.run(probe_circuit(), spin_qubit_target(2))
+        finally:
+            if not was_enabled:
+                disable_telemetry()
+        # Passes that completed are metered; the aborted one is only traced.
+        assert "evaluate_rules" in passes_snapshot()
+        assert "boom" not in passes_snapshot()
+        events = load_events(str(path))
+        assert summarize(events)["unclosed_spans"] == 0
+        ends = [e for e in events if e.get("name") == "pass:boom"
+                and e.get("kind") == "end"]
+        assert len(ends) == 1 and ends[0]["fields"]["error"] == "RuntimeError"

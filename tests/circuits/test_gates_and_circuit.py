@@ -344,3 +344,64 @@ def test_property_circuit_inverse_cancels(angles, data):
             getattr(circuit, kind)(angle, qubit)
     total = circuit.copy().compose(circuit.inverse())
     assert allclose_up_to_global_phase(circuit_unitary(total), np.eye(4), atol=1e-7)
+
+
+def _old_freeze(matrix):
+    """The per-element freeze that ``_freeze`` replaced (reference)."""
+    return tuple(tuple(complex(entry) for entry in row) for row in matrix)
+
+
+def _hex(frozen):
+    return [(e.real.hex(), e.imag.hex()) for row in frozen for e in row]
+
+
+class TestBuilderCache:
+    def test_parameter_free_builders_share_one_instance(self):
+        assert h() is h()
+        assert build_gate("cz") is cz()
+        assert build_gate("swap_d") is swap_direct()
+        assert swap_direct().name == "swap_d" and swap().name == "swap"
+
+    def test_identity_cached_per_width(self):
+        from repro.circuits.gates import identity
+
+        assert identity(2) != identity(1)
+        assert identity(2).num_qubits == 2 and identity(1).num_qubits == 1
+        assert identity(2) is identity(2)
+
+    def test_parametrized_builders_not_shared(self):
+        assert rz(0.3) is not rz(0.3)
+        assert rz(0.3) == rz(0.3)
+
+    def test_freeze_bit_identical_to_per_element_form(self, monkeypatch):
+        """Every builder, with sampled params, freezes exactly as before."""
+        import repro.circuits.gates as glib
+
+        frozen_arrays = []
+        real_freeze = glib._freeze
+
+        def spy(matrix):
+            frozen = real_freeze(matrix)
+            frozen_arrays.append((np.array(matrix, copy=True), frozen))
+            return frozen
+
+        monkeypatch.setattr(glib, "_freeze", spy)
+        rng = np.random.default_rng(7)
+        for name, builder in GATE_BUILDERS.items():
+            # Bypass the cache so parameter-free builders freeze again.
+            build = getattr(builder, "__wrapped__", builder)
+            for arity in range(4):
+                try:
+                    build(*([0.1] * arity))
+                    break
+                except TypeError:
+                    continue
+            for _ in range(1 if arity == 0 else 25):
+                build(*rng.uniform(-7.0, 7.0, size=arity))
+        rzx_angles = [0.0, math.pi, -math.pi / 2, 1e-300, 123.456]
+        for angle in rzx_angles:
+            rzx(angle)
+        assert len(frozen_arrays) > len(GATE_BUILDERS)
+        for matrix, frozen in frozen_arrays:
+            assert _hex(frozen) == _hex(_old_freeze(matrix))
+            assert all(type(e) is complex for row in frozen for e in row)
