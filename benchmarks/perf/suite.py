@@ -15,8 +15,9 @@ so compile timings here agree with what users see in production.
 from __future__ import annotations
 
 import platform
+import statistics
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import repro
 from repro.circuits.unitary import circuit_unitary, circuit_unitary_dense
@@ -94,6 +95,34 @@ def _best_of(func: Callable[[], object], repeats: int) -> float:
         func()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _paired_overhead(
+    base: Callable[[], object], variant: Callable[[], object], pairs: int
+) -> Tuple[float, float, float]:
+    """Paired timing of ``variant`` against ``base``.
+
+    Each side runs once untimed first, so neither timed side pays a cold
+    start.  Then ``pairs`` pairs run back to back, alternating which side
+    goes first, so drift and ordering cancel.  Returns the median time of
+    each side and the overhead percent from the median paired ratio.
+    """
+    base()
+    variant()
+    base_times: List[float] = []
+    variant_times: List[float] = []
+    for pair in range(pairs):
+        order = ((base, base_times), (variant, variant_times))
+        for func, times in order if pair % 2 == 0 else reversed(order):
+            start = time.perf_counter()
+            func()
+            times.append(time.perf_counter() - start)
+    ratio = statistics.median(v / b for b, v in zip(base_times, variant_times))
+    return statistics.median(base_times), statistics.median(variant_times), 100.0 * (ratio - 1.0)
+
+
+#: Pairs per overhead figure; odd, so the median is one measured ratio.
+OVERHEAD_PAIRS = 7
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +372,8 @@ def bench_trace(preset: Dict) -> Dict:
     Two numbers back the subsystem's overhead claims over PRs:
 
     * ``enabled_overhead_percent`` — wall-time cost of compiling with a
-      live JSONL tracer versus tracing off (best-of timing on both
-      sides);
+      live JSONL tracer versus tracing off (median paired ratio, see
+      :func:`_paired_overhead`);
     * ``disabled_overhead_percent`` — estimated cost of the dormant
       hooks when tracing and telemetry are off: the measured per-call
       cost of the disabled :func:`repro.trace.event` hook times the
@@ -365,12 +394,6 @@ def bench_trace(preset: Dict) -> Dict:
     circuit = build()
     target = spin_qubit_target(max(4, circuit.num_qubits))
     technique = preset["compile_techniques"][0]
-    repeats = max(2, preset["repeats"])
-
-    untraced = _best_of(
-        lambda: repro.compile(circuit, target, technique, use_cache=False),
-        repeats,
-    )
 
     # Per-call cost of the disabled hook (one flag read + return); the
     # registry is switched off for the probe so the hook is dormant.
@@ -389,24 +412,24 @@ def bench_trace(preset: Dict) -> Dict:
     handle, path = tempfile.mkstemp(suffix=".jsonl", prefix="repro-bench-trace-")
     os.close(handle)
     try:
-        traced = _best_of(
+        untraced, traced, enabled_overhead = _paired_overhead(
+            lambda: repro.compile(circuit, target, technique, use_cache=False),
             lambda: repro.compile(circuit, target, technique,
                                   use_cache=False, trace=path),
-            repeats,
+            OVERHEAD_PAIRS,
         )
         events_total = len(load_events(path))
     finally:
         os.unlink(path)
-    events_per_compile = events_total / repeats
+    # The traced side ran once untimed plus once per pair.
+    events_per_compile = events_total / (OVERHEAD_PAIRS + 1)
     disabled_estimate = events_per_compile * disabled_hook_ns * 1e-9
     return {
         "workload": name,
         "technique": technique,
         "untraced_seconds": untraced,
         "traced_seconds": traced,
-        "enabled_overhead_percent": (
-            100.0 * (traced - untraced) / untraced if untraced > 0 else 0.0
-        ),
+        "enabled_overhead_percent": enabled_overhead,
         "events_per_compile": events_per_compile,
         "disabled_hook_ns": disabled_hook_ns,
         "disabled_overhead_percent": (
@@ -427,7 +450,7 @@ def bench_telemetry(preset: Dict) -> Dict:
       field), the single call each instrumented site makes;
     * ``enabled_overhead_percent`` — wall-time cost of compiling with
       the registry live (pass timers, cache counters, solver events)
-      versus telemetry off.
+      versus telemetry off (median paired ratio).
     """
     from repro.telemetry.instruments import SOLVER_EVENTS
     from repro.telemetry.registry import (
@@ -441,7 +464,6 @@ def bench_telemetry(preset: Dict) -> Dict:
     circuit = build()
     target = spin_qubit_target(max(4, circuit.num_qubits))
     technique = preset["compile_techniques"][0]
-    repeats = max(2, preset["repeats"])
 
     was_enabled = telemetry_enabled()
     disable_telemetry()
@@ -457,14 +479,14 @@ def bench_telemetry(preset: Dict) -> Dict:
             event("cache.hit", "api", level="memory")
         disabled_hook_ns = 1e9 * (time.perf_counter() - start) / probe_calls
 
-        disabled_seconds = _best_of(
-            lambda: repro.compile(circuit, target, technique, use_cache=False),
-            repeats,
-        )
-        enable_telemetry()
-        enabled_seconds = _best_of(
-            lambda: repro.compile(circuit, target, technique, use_cache=False),
-            repeats,
+        def compile_with_telemetry(enabled: bool) -> None:
+            (enable_telemetry if enabled else disable_telemetry)()
+            repro.compile(circuit, target, technique, use_cache=False)
+
+        disabled_seconds, enabled_seconds, enabled_overhead = _paired_overhead(
+            lambda: compile_with_telemetry(False),
+            lambda: compile_with_telemetry(True),
+            OVERHEAD_PAIRS,
         )
     finally:
         if was_enabled:
@@ -478,10 +500,7 @@ def bench_telemetry(preset: Dict) -> Dict:
         "disabled_hook_ns": disabled_hook_ns,
         "disabled_seconds": disabled_seconds,
         "enabled_seconds": enabled_seconds,
-        "enabled_overhead_percent": (
-            100.0 * (enabled_seconds - disabled_seconds) / disabled_seconds
-            if disabled_seconds > 0 else 0.0
-        ),
+        "enabled_overhead_percent": enabled_overhead,
     }
 
 
@@ -502,7 +521,6 @@ def bench_resilience(preset: Dict) -> Dict:
     circuit = build()
     target = spin_qubit_target(max(4, circuit.num_qubits))
     technique = preset["compile_techniques"][0]
-    repeats = max(2, preset["repeats"])
 
     probe_calls = 200000
     # Disabled fast path: one module-flag read + return.
@@ -524,14 +542,11 @@ def bench_resilience(preset: Dict) -> Dict:
         current_tracer()
     trace_hook_ns = 1e9 * (time.perf_counter() - start) / probe_calls
 
-    plain = _best_of(
+    plain, budgeted, budgeted_overhead = _paired_overhead(
         lambda: repro.compile(circuit, target, technique, use_cache=False),
-        repeats,
-    )
-    budgeted = _best_of(
         lambda: repro.compile(circuit, target, technique, use_cache=False,
                               timeout=3600.0),
-        repeats,
+        OVERHEAD_PAIRS,
     )
 
     # A deadline that always fires, resolved by the degradation ladder:
@@ -553,9 +568,7 @@ def bench_resilience(preset: Dict) -> Dict:
         ),
         "plain_seconds": plain,
         "budgeted_seconds": budgeted,
-        "budgeted_overhead_percent": (
-            100.0 * (budgeted - plain) / plain if plain > 0 else 0.0
-        ),
+        "budgeted_overhead_percent": budgeted_overhead,
         "degrade_roundtrip_seconds": degrade_seconds,
         "degraded_to": degraded.technique,
     }

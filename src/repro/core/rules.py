@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits import gates as glib
 from repro.circuits.circuit import Instruction, QuantumCircuit
+from repro.circuits.gates import Gate
 from repro.circuits.unitary import circuit_unitary
 from repro.hardware.target import Target
 from repro.synthesis.two_qubit import decompose_two_qubit
@@ -190,20 +192,39 @@ class KakDecompositionRule(SubstitutionRule):
     def find(self, block: Block, target: Target) -> List[Tuple[Tuple[int, ...], List[Instruction]]]:
         if not block.is_two_qubit or block.two_qubit_gate_count() == 0:
             return []
-        local = block.as_circuit()
-        unitary = circuit_unitary(local)
-        decomposed = decompose_two_qubit(unitary)
-        qubit_map = {0: block.qubits[0], 1: block.qubits[1]}
+        # Relabel as Block.as_circuit does: block.qubits[0] -> 0, [1] -> 1.
+        local_of = {qubit: local for local, qubit in enumerate(block.qubits)}
+        content = tuple(
+            (inst.gate, tuple(local_of[q] for q in inst.qubits)) for inst in block.instructions
+        )
         replacement: List[Instruction] = []
-        for instruction in decomposed.instructions:
+        for instruction in _kak_resynthesis(content):
             gate = instruction.gate
             if gate.name == "cz" and self.cz_gate == "cz_d":
                 gate = glib.cz_diabatic()
             replacement.append(
-                Instruction(gate, tuple(qubit_map[q] for q in instruction.qubits))
+                Instruction(gate, tuple(block.qubits[q] for q in instruction.qubits))
             )
         positions = tuple(range(len(block.instructions)))
         return [(positions, replacement)]
+
+
+@lru_cache(maxsize=1024)
+def _kak_resynthesis(
+    content: Tuple[Tuple[Gate, Tuple[int, ...]], ...],
+) -> Tuple[Instruction, ...]:
+    """Verified KAK resynthesis of one block, given on local qubits (0, 1).
+
+    ``content`` is the block's ``(gate, local qubits)`` sequence.  It names
+    no target, rule or technique, so every KAK rule shares one entry per
+    distinct block.  ``Gate`` is frozen and compares name, params, matrix
+    and label, so a hit is a block whose unitary equals that of the miss
+    whose decomposition passed ``decompose_two_qubit``'s verification.
+    """
+    local = QuantumCircuit(2)
+    for gate, qubits in content:
+        local.append(gate, qubits)
+    return tuple(decompose_two_qubit(circuit_unitary(local)).instructions)
 
 
 def standard_rules(include_kak: bool = True, kak_cz_gate: str = "cz") -> List[SubstitutionRule]:

@@ -87,12 +87,13 @@ def kron_factor(unitary: np.ndarray, atol: float = 1e-9) -> Tuple[np.ndarray, np
     if a_norm < atol:
         raise ValueError("matrix is not a tensor product of single-qubit gates")
     a_matrix = a_matrix / np.sqrt(np.linalg.det(a_matrix) + 0j)
+    a_inverse = np.linalg.inv(a_matrix)
     b_matrix = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             block = blocks[i, :, j, :]
             # b_ij is the coefficient of A in this block.
-            b_matrix[i, j] = np.trace(block @ np.linalg.inv(a_matrix)) / 2
+            b_matrix[i, j] = np.trace(block @ a_inverse) / 2
     phase = 1.0 + 0j
     det_b = np.linalg.det(b_matrix)
     if abs(det_b) < atol:

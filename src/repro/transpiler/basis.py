@@ -11,7 +11,8 @@ the per-block reference costs in the preprocessing step.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List
+from functools import lru_cache
+from typing import Callable, Dict, List, Tuple
 
 from repro.circuits import gates as glib
 from repro.circuits.circuit import Instruction, QuantumCircuit
@@ -48,15 +49,20 @@ def _swap_via_cz(qubit_a: int, qubit_b: int) -> List[Instruction]:
     return instructions
 
 
-def _iswap_via_cz(qubit_a: int, qubit_b: int) -> List[Instruction]:
-    """iSWAP through the verified KAK resynthesis (2 CZ + single-qubit gates)."""
+@lru_cache(maxsize=None)
+def _iswap_local() -> Tuple[Instruction, ...]:
+    """The verified KAK resynthesis of iSWAP on local qubits (0, 1), built once."""
     from repro.synthesis.two_qubit import decompose_two_qubit
 
-    decomposed = decompose_two_qubit(glib.iswap().to_matrix())
-    mapping = {0: qubit_a, 1: qubit_b}
+    return tuple(decompose_two_qubit(glib.iswap().to_matrix()).instructions)
+
+
+def _iswap_via_cz(qubit_a: int, qubit_b: int) -> List[Instruction]:
+    """iSWAP through the verified KAK resynthesis (2 CZ + single-qubit gates)."""
+    mapping = (qubit_a, qubit_b)
     return [
         Instruction(inst.gate, tuple(mapping[q] for q in inst.qubits))
-        for inst in decomposed.instructions
+        for inst in _iswap_local()
     ]
 
 
