@@ -128,6 +128,26 @@ OVERHEAD_PAIRS = 7
 # ----------------------------------------------------------------------
 # Simulation kernels
 # ----------------------------------------------------------------------
+def _kernel_vs_dense(
+    kernel: Callable[[], object], dense: Callable[[], object], preset: Dict
+) -> Dict:
+    """Warm timings of a kernel path against its dense reference.
+
+    Each side runs once untimed first, so neither timed side pays a cold
+    start (imports, first-use caches); the kernel side runs first, so a
+    cold start would otherwise land on it alone.
+    """
+    kernel()
+    dense()
+    fast = _best_of(kernel, preset["repeats"])
+    slow = _best_of(dense, preset["dense_repeats"])
+    return {
+        "kernel_seconds": fast,
+        "dense_seconds": slow,
+        "speedup": slow / fast if fast > 0 else float("inf"),
+    }
+
+
 def bench_statevector(preset: Dict) -> List[Dict]:
     """Local-kernel vs dense-matrix statevector simulation."""
     rows: List[Dict] = []
@@ -135,17 +155,12 @@ def bench_statevector(preset: Dict) -> List[Dict]:
         circuit = random_template_circuit(
             num_qubits, preset["statevector_depth"], seed=17
         )
-        fast = _best_of(lambda: simulate_statevector(circuit), preset["repeats"])
-        dense = _best_of(
-            lambda: simulate_statevector_dense(circuit), preset["dense_repeats"]
-        )
         rows.append({
             "workload": circuit.name,
             "num_qubits": num_qubits,
             "num_gates": len(circuit.instructions),
-            "kernel_seconds": fast,
-            "dense_seconds": dense,
-            "speedup": dense / fast if fast > 0 else float("inf"),
+            **_kernel_vs_dense(lambda: simulate_statevector(circuit),
+                               lambda: simulate_statevector_dense(circuit), preset),
         })
     return rows
 
@@ -159,15 +174,12 @@ def bench_density(preset: Dict) -> List[Dict]:
         routed = repro.compile(circuit, target, "direct").adapted_circuit
         fast_sim = DensityMatrixSimulator(target)
         dense_sim = DensityMatrixSimulator(target, dense=True)
-        fast = _best_of(lambda: fast_sim.evolve(routed), preset["repeats"])
-        dense = _best_of(lambda: dense_sim.evolve(routed), preset["dense_repeats"])
         rows.append({
             "workload": circuit.name,
             "num_qubits": num_qubits,
             "num_gates": len(routed.instructions),
-            "kernel_seconds": fast,
-            "dense_seconds": dense,
-            "speedup": dense / fast if fast > 0 else float("inf"),
+            **_kernel_vs_dense(lambda: fast_sim.evolve(routed),
+                               lambda: dense_sim.evolve(routed), preset),
         })
     return rows
 
@@ -177,14 +189,11 @@ def bench_unitary(preset: Dict) -> List[Dict]:
     rows: List[Dict] = []
     for num_qubits in preset["unitary_qubits"]:
         circuit = random_template_circuit(num_qubits, 8 * num_qubits, seed=5)
-        fast = _best_of(lambda: circuit_unitary(circuit), preset["repeats"])
-        dense = _best_of(lambda: circuit_unitary_dense(circuit), preset["dense_repeats"])
         rows.append({
             "workload": circuit.name,
             "num_qubits": num_qubits,
-            "kernel_seconds": fast,
-            "dense_seconds": dense,
-            "speedup": dense / fast if fast > 0 else float("inf"),
+            **_kernel_vs_dense(lambda: circuit_unitary(circuit),
+                               lambda: circuit_unitary_dense(circuit), preset),
         })
     return rows
 

@@ -4,7 +4,8 @@ Results are keyed by ``(circuit hash, target fingerprint, technique,
 options fingerprint)`` — see :mod:`repro.api.fingerprints`.  A cache hit
 returns a deep copy of the stored :class:`repro.core.AdaptationResult`
 with the report flagged ``cache_hit=True``, so callers can freely mutate
-what they get back without corrupting the cache.
+what they get back without corrupting the cache.  Gates and instructions
+are frozen, so the copy shares them and duplicates only the containers.
 
 The cache is a true LRU: every hit refreshes the entry's recency and the
 least recently *used* entry is evicted when the cache is full.

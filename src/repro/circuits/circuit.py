@@ -49,6 +49,10 @@ class Instruction:
             tuple(int(q) for q in payload["qubits"]),
         )
 
+    def __deepcopy__(self, memo) -> "Instruction":
+        # A frozen gate on a tuple of ints: a copy could never differ.
+        return self
+
     def __repr__(self) -> str:
         qubits = ", ".join(str(q) for q in self.qubits)
         return f"{self.gate!r} q[{qubits}]"
@@ -69,13 +73,16 @@ class QuantumCircuit:
     # ------------------------------------------------------------------
     def append(self, gate: Gate, qubits: Sequence[int]) -> "QuantumCircuit":
         """Append ``gate`` acting on ``qubits``; returns self for chaining."""
-        qubits = tuple(int(q) for q in qubits)
-        for qubit in qubits:
+        return self._push(Instruction(gate, tuple(int(q) for q in qubits)))
+
+    def _push(self, instruction: Instruction) -> "QuantumCircuit":
+        """Append a built instruction after checking its qubits are in range."""
+        for qubit in instruction.qubits:
             if not 0 <= qubit < self.num_qubits:
                 raise ValueError(
                     f"qubit {qubit} out of range for a {self.num_qubits}-qubit circuit"
                 )
-        self.instructions.append(Instruction(gate, qubits))
+        self.instructions.append(instruction)
         return self
 
     def extend(self, instructions: Iterable[Instruction]) -> "QuantumCircuit":
@@ -298,10 +305,11 @@ class QuantumCircuit:
         """Exact JSON-serializable form, including custom-gate matrices.
 
         Unlike :meth:`to_text` (which re-derives gates by name through the
-        builder table and rounds parameters for display), this form embeds
-        every gate's matrix and round-trips bit-identically through
-        :meth:`from_dict` — which is what the persistent result store of
-        :mod:`repro.service` requires.
+        builder table and rounds parameters for display), every gate goes
+        through :meth:`Gate.to_dict`: builder gates as name and exact params,
+        all others with their matrix.  The form round-trips bit-identically
+        through :meth:`from_dict` — which is what the persistent result
+        store of :mod:`repro.service` requires.
         """
         return {
             "num_qubits": self.num_qubits,
@@ -314,8 +322,7 @@ class QuantumCircuit:
         """Inverse of :meth:`to_dict`."""
         circuit = QuantumCircuit(int(payload["num_qubits"]), payload.get("name", "circuit"))
         for entry in payload["instructions"]:
-            instruction = Instruction.from_dict(entry)
-            circuit.append(instruction.gate, instruction.qubits)
+            circuit._push(Instruction.from_dict(entry))
         return circuit
 
     def __repr__(self) -> str:

@@ -18,8 +18,9 @@ Controlled gates take the *first* qubit of the instruction as the control.
 from __future__ import annotations
 
 import cmath
+import marshal
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -66,38 +67,91 @@ class Gate:
     def to_dict(self) -> dict:
         """JSON-serializable form; exact — floats round-trip bit-identically.
 
-        Complex matrix entries are stored as ``[real, imag]`` pairs, so the
-        payload survives ``json.dumps``/``loads`` without custom encoders.
+        A gate that ``build_gate(name, *params)`` rebuilds bit for bit
+        (params and every matrix entry, signed zeros included) travels as
+        ``{"name", "params"}``.  Any other gate — adjoints, ``identity(2)``,
+        custom matrices — embeds its matrix with complex entries as
+        ``[real, imag]`` pairs, so the payload survives
+        ``json.dumps``/``loads`` without custom encoders.  ``"label"`` is
+        present only when set.
         """
-        return {
-            "name": self.name,
-            "num_qubits": self.num_qubits,
-            "params": list(self.params),
-            "matrix": [
-                [[entry.real, entry.imag] for entry in row] for row in self.matrix
-            ],
-            "label": self.label,
-        }
+        if _rebuilds_exactly(self):
+            payload = {"name": self.name, "params": list(self.params)}
+        else:
+            payload = {
+                "name": self.name,
+                "num_qubits": self.num_qubits,
+                "params": list(self.params),
+                "matrix": [
+                    [[entry.real, entry.imag] for entry in row] for row in self.matrix
+                ],
+            }
+        if self.label is not None:
+            payload["label"] = self.label
+        return payload
 
     @staticmethod
     def from_dict(payload: dict) -> "Gate":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; also accepts the full form for every gate."""
+        params = tuple(float(p) for p in payload["params"])
+        label = payload.get("label")
+        if "matrix" not in payload:
+            gate = _rebuild(payload["name"], _bits(params))
+            return gate if label is None else replace(gate, label=label)
         return Gate(
             name=payload["name"],
             num_qubits=int(payload["num_qubits"]),
-            params=tuple(float(p) for p in payload["params"]),
+            params=params,
             matrix=tuple(
                 tuple(complex(entry[0], entry[1]) for entry in row)
                 for row in payload["matrix"]
             ),
-            label=payload.get("label"),
+            label=label,
         )
+
+    def __deepcopy__(self, memo) -> "Gate":
+        # Frozen and built from immutables only: a copy could never differ.
+        return self
 
     def __repr__(self) -> str:
         if self.params:
             rendered = ", ".join(f"{p:.4g}" for p in self.params)
             return f"{self.name}({rendered})"
         return self.name
+
+
+def _bits(value) -> bytes:
+    """The IEEE-754 bytes of a (nested) tuple of floats or complex numbers.
+
+    Marshal format 2 writes every float as its eight bytes and never
+    back-references, so equal bytes mean bit-identical values — unlike
+    ``==``, which treats ``0.0`` and ``-0.0`` as equal.
+    """
+    return marshal.dumps(value, 2)
+
+
+@lru_cache(maxsize=4096)
+def _rebuild(name: str, param_bits: bytes) -> Gate:
+    """``build_gate`` memoized on the params' bit patterns."""
+    return build_gate(name, *marshal.loads(param_bits))
+
+
+def _rebuilds_exactly(gate: Gate) -> bool:
+    """Whether ``build_gate(gate.name, *gate.params)`` is ``gate`` bit for bit."""
+    if gate.name not in GATE_BUILDERS:
+        return False
+    try:
+        param_bits = _bits(gate.params)
+        built = _rebuild(gate.name, param_bits)
+        return built is gate or (
+            built.num_qubits == gate.num_qubits
+            and _bits(built.params) == param_bits
+            and _bits(built.matrix) == _bits(gate.matrix)
+        )
+    except (TypeError, ValueError, OverflowError):
+        # Params the builder rejects, or values marshal cannot encode
+        # (numpy scalars): keep the full form.
+        return False
 
 
 def _freeze(matrix: np.ndarray) -> Tuple[Tuple[complex, ...], ...]:

@@ -64,7 +64,12 @@ class AdaptationResult:
         Costs, durations, gate counts, substitutions and the per-stage
         report all survive ``json.dumps``/``loads`` bit-identically, which
         is what :class:`repro.service.PersistentResultStore` relies on.
-        Non-numeric solver statistics values degrade to strings.
+        Gates of the adapted circuit and of the substitutions' replacements
+        go through :meth:`~repro.circuits.gates.Gate.to_dict`: name + params
+        wherever the builder rebuilds them bit for bit, the matrix
+        otherwise.  :meth:`from_dict` also decodes the older form that
+        embeds every gate's matrix.  Non-numeric solver statistics values
+        degrade to strings.
         """
         return {
             "technique": self.technique,

@@ -43,8 +43,8 @@ priority class per :mod:`repro.cluster.shedding`.
 Submissions carry the circuit either as OpenQASM 2.0 *source text*
 (never a server-side path — the gateway refuses path lookups from the
 wire) or as the exact ``QuantumCircuit.to_dict()`` JSON; results come
-back as the full ``AdaptationResult.to_dict()`` payload plus an OpenQASM
-export, so :class:`repro.server.ReproClient` reconstructs real
+back as the exact ``AdaptationResult.to_dict()`` payload (builder gates
+as name + params) plus an OpenQASM export, so :class:`repro.server.ReproClient` reconstructs real
 :class:`repro.core.AdaptationResult` objects on the other side.
 
 The server shuts down *draining*: new submissions are rejected with 503
@@ -1143,7 +1143,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = payload.text.encode("utf-8")
             content_type = payload.content_type
         else:
-            body = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             content_type = "application/json"
         if status >= 400:
             # Error paths may answer before the request body was read

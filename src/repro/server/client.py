@@ -215,7 +215,7 @@ class ReproClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             headers["Content-Type"] = "application/json"
         # When this process traces, the exchange gets a client-layer span
         # and its identity rides the propagation header so the gateway's
