@@ -45,8 +45,8 @@ _SRC = os.path.join(_REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from percentile import percentile  # noqa: E402
 import repro  # noqa: E402
-from repro.server.app import _percentile as percentile  # noqa: E402
 from repro.workloads import ghz_circuit, qft_circuit  # noqa: E402
 
 
@@ -97,12 +97,11 @@ def scenario_shard_kill() -> Dict:
                          and health.get("respawns", {}).get("s0", 0) >= 1)
         finally:
             router.shutdown()
-    ordered = sorted(latencies)
     return {
         "requests": len(circuits),
         "failures": failures,
         "respawned": respawned,
-        "p95_seconds": percentile(ordered, 0.95),
+        "p95_seconds": percentile(latencies, 0.95),
         "ok": failures == 0 and respawned,
     }
 
@@ -227,14 +226,13 @@ def scenario_deadline_storm() -> Dict:
         stuck = stats["queue_depth"] + stats["busy_workers"]
     finally:
         server.stop()
-    ordered = sorted(latencies)
     return {
         "requests": len(circuits),
         "outcomes": outcomes,
         "stuck_jobs": stuck,
-        "p95_seconds": percentile(ordered, 0.95),
+        "p95_seconds": percentile(latencies, 0.95),
         "ok": (outcomes["other"] == 0 and stuck == 0
-               and percentile(ordered, 0.95) < 30.0),
+               and percentile(latencies, 0.95) < 30.0),
     }
 
 

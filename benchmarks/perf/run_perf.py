@@ -49,8 +49,18 @@ def main(argv=None) -> int:
 
     # "quality" = the smoke perf matrix + the fast golden-quality gate.
     report = run_suite("smoke" if args.preset == "quality" else args.preset)
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+    # Overwrite only the suite's own keys: sections other harnesses merge
+    # into the same file (server_load.py's "server") survive a refresh.
+    merged = {}
+    if os.path.exists(args.output):
+        try:
+            with open(args.output, "r", encoding="utf-8") as handle:
+                merged = json.load(handle)
+        except (OSError, ValueError):
+            merged = {}
+    merged.update(report)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        json.dump(merged, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
     print(f"wrote {args.output}")

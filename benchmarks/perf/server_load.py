@@ -15,11 +15,12 @@ Usage (from the repository root)::
     python benchmarks/perf/server_load.py --shards 2          # sharded
     python benchmarks/perf/server_load.py --scaling           # 1 vs 2 shards
 
-``--scaling`` additionally compares req/s at 1 vs 2 shards over the
-replicated store backend and then *scales out* to 3 shards against the
-same store, counting warm cross-shard peer fetches.  Shard scaling is
-process-level parallelism — the recorded ``cpu_count`` says how much
-headroom the machine actually offered (a 1-core box can only timeshare).
+``--scaling`` additionally compares req/s at 1 vs 2 shards and then
+*scales out* to 3 shards against the 2-shard run's ``dir:`` store,
+counting the L2 hits the shards serve from each other's results.  Shard
+scaling is process-level parallelism — the recorded ``cpu_count`` says
+how much headroom the machine actually offered (a 1-core box can only
+timeshare).
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ _SRC = os.path.join(_REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from percentile import percentile  # noqa: E402
 from repro.circuits.circuit import QuantumCircuit  # noqa: E402
 from repro.server import ReproClient  # noqa: E402
-from repro.server.app import _percentile as percentile  # noqa: E402
 from repro.workloads import (  # noqa: E402
     ghz_circuit,
     hardware_efficient_ansatz,
@@ -134,7 +135,6 @@ def run_phase(url: str, clients: int, requests_per_client: int,
 
 
 def phase_stats(latencies: List[float], wall: float) -> Dict[str, float]:
-    latencies = sorted(latencies)  # _percentile expects a sorted sample.
     return {
         "requests": len(latencies),
         "seconds": wall,
@@ -231,10 +231,11 @@ def bench_scaling(clients: int, requests_per_client: int, workers: int,
     Three deployments over the same distinct-circuit corpus:
 
     1. one shard, its own store — the single-node baseline;
-    2. two shards, a fresh *replicated* store — the scaling claim;
-    3. three shards over the 2-shard run's store — rerouted fingerprints
-       land on shards that never compiled them, so the peer-fetch backend
-       serves them cross-shard (the ``cross_shard_l2_hits`` count).
+    2. two shards, a fresh shared store — the scaling claim;
+    3. three fresh shards over the 2-shard run's store — their L1s are
+       empty and the modulo change reroutes most fingerprints to a shard
+       that never compiled them, so the shared directory serves them
+       (``cross_shard_l2_hits``: the shards' summed L2 hits).
     """
     circuits = scaling_corpus(clients * requests_per_client)
     report: Dict[str, object] = {
@@ -249,11 +250,9 @@ def bench_scaling(clients: int, requests_per_client: int, workers: int,
     try:
         runs = (
             ("one_shard", 1, f"dir:{single_store}"),
-            ("two_shards", 2, f"replicated:{cluster_store}"),
-            # Scale-out: +1 shard over the SAME store; the modulo change
-            # reroutes most fingerprints away from the tier that holds
-            # them, forcing warm peer fetches.
-            ("scale_out_warm", 3, f"replicated:{cluster_store}"),
+            ("two_shards", 2, f"dir:{cluster_store}"),
+            # Scale-out: +1 shard over the SAME store.
+            ("scale_out_warm", 3, f"dir:{cluster_store}"),
         )
         for name, shards, store in runs:
             process, url = boot_server(store, workers, shards)
@@ -264,7 +263,7 @@ def bench_scaling(clients: int, requests_per_client: int, workers: int,
                 if name == "scale_out_warm":
                     stores = ReproClient(url).metrics().get("stores", {})
                     report["cross_shard_l2_hits"] = int(
-                        stores.get("replicated", {}).get("peer_hits", 0))
+                        stores.get("local_dir", {}).get("hits", 0))
             finally:
                 stop_server(process)
         one = report["one_shard"]["requests_per_second"]

@@ -1,13 +1,14 @@
-"""Multi-node serving tour: auth, rate limits, event streams, peer fetch.
+"""Serving tour: API keys, rate limits and a store shared by two nodes.
 
-Run with ``python examples/cluster_serving.py``.  Two gateways share one
-*replicated* store root (each with a private tier plus HTTP peer fetch),
-API keys gate every ``/v1`` route, and job lifecycles stream back over
-server-sent events — the same pieces ``python -m repro.server --shards N
---store replicated:DIR --auth-keys keys.json`` wires up in production.
+Run with ``python examples/cluster_serving.py``.  Two gateways open one
+``dir:`` store directory, API keys gate every ``/v1`` route, and a result
+one node computed is served from the shared store by the other — the
+same pieces ``python -m repro.server --shards N --store DIR --auth-keys
+keys.json`` wires up in production.
 """
 
 import json
+import shutil
 import tempfile
 
 from repro.server import (
@@ -32,12 +33,10 @@ def main() -> None:
     store_root = tempfile.mkdtemp(prefix="repro-cluster-")
     auth = json.dumps(KEYS)
 
-    # One node first; a second joins later and warm-starts from its
-    # peer.  Static peer lists here — a ShardRouter publishes peers.json
-    # with live ports instead.
+    # One node first; a second joins later over the same directory.
     node_a = build_server(workers=2, job_prefix="s0-", auth=auth,
-                          store=f"replicated:{store_root}").start_background()
-    print(f"node A on {node_a.url}  (store {store_root}/s0)")
+                          store=f"dir:{store_root}").start_background()
+    print(f"node A on {node_a.url}  (store {store_root})")
 
     # /v1 routes demand a key; health stays open for probes.
     try:
@@ -45,37 +44,33 @@ def main() -> None:
     except AuthenticationError as error:
         print(f"\nno key -> HTTP {error.status}: {error}")
 
-    # An authenticated compile, following the job over its SSE stream.
+    # An authenticated compile; the client long-polls the result.
     client_a = ReproClient(node_a.url, api_key="sk-demo")
     job = client_a.submit(QASM, technique="sat_p",
                           max_improvement_rounds=60)
-    print(f"\nsubmitted {job.job_id}; streaming events:")
-    for event, payload in job.stream(timeout=120):
-        print(f"  event: {event:<9} status={payload.get('status')}")
-    result = job.wait(timeout=60)
+    print(f"\nsubmitted {job.job_id}; waiting on its result")
+    result = job.result(timeout=120)
     print(f"adapted: {result.cost.gate_count} gates, "
-          f"fidelity {result.cost.gate_fidelity_product:.4f}")
+          f"fidelity {result.cost.gate_fidelity_product:.4f} "
+          f"({job.status()})")
 
-    # Scale out: node B joins with its own (empty) store tier and node A
-    # as a peer.  Its first compile of the same circuit misses locally,
-    # peer-fetches node A's entry, adopts it, and returns warm.  (Both
-    # demo nodes share this process's L1 memory cache; real deployments
-    # run one process per node.  Clear it so node B has to go through
-    # its own store tier.)
+    # Scale out: node B joins over the same store directory.  Its first
+    # compile of the same circuit misses its memory cache and reads node
+    # A's entry from the shared store.  (Both demo nodes share this
+    # process's L1 memory cache; real deployments run one process per
+    # node.  Clear it so node B has to go through the store.)
     from repro.api import clear_compilation_cache
 
-    node_b = build_server(
-        workers=2, job_prefix="s1-", auth=auth,
-        store=f"replicated:{store_root}?peers={node_a.url}",
-    ).start_background()
-    print(f"\nnode B joined on {node_b.url}  (store {store_root}/s1)")
+    node_b = build_server(workers=2, job_prefix="s1-", auth=auth,
+                          store=f"dir:{store_root}").start_background()
+    print(f"\nnode B joined on {node_b.url}  (same store)")
     clear_compilation_cache()
     client_b = ReproClient(node_b.url, api_key="sk-demo")
     warm = client_b.compile(QASM, technique="sat_p",
                             max_improvement_rounds=60)
     stats = client_b.metrics()["service"]["l2"]
-    print(f"node B served it via peer fetch: cost match "
-          f"{warm.cost == result.cost}, peer_hits={stats['peer_hits']}")
+    print(f"node B served it from the shared store: cost match "
+          f"{warm.cost == result.cost}, L2 hits={stats['hits']}")
 
     # The trial key's bucket holds one token: the second call is 429
     # with a Retry-After hint (the client retries it automatically when
@@ -95,6 +90,7 @@ def main() -> None:
 
     node_b.stop(drain=True)
     node_a.stop(drain=True)
+    shutil.rmtree(store_root, ignore_errors=True)
     print("drained both nodes.")
 
 

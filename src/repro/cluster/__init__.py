@@ -1,17 +1,14 @@
-"""repro.cluster — multi-node serving building blocks.
+"""repro.cluster — admission control for the serving layer.
 
-Four orthogonal pieces the HTTP layer composes into a cluster:
+Two orthogonal pieces the HTTP gateway and the shard router compose:
 
-* :mod:`repro.cluster.backends` — the pluggable persistent-store
-  surface (:class:`StoreBackend`), the HTTP peer-fetch
-  :class:`ReplicatedStoreBackend`, and the ``dir:``/``replicated:``
-  spec parser :func:`resolve_store_backend`.
 * :mod:`repro.cluster.auth` — API keys with token-bucket rate limits,
   daily quotas and expiry (:class:`Authenticator`, :class:`ApiKey`).
-* :mod:`repro.cluster.events` — the job-event broker behind
-  ``GET /v1/jobs/{id}/events`` (:class:`JobEventBroker`).
 * :mod:`repro.cluster.shedding` — priority-aware admission control
   tied to scheduler saturation (:class:`LoadShedder`).
+
+Sharded servers share one ``dir:`` result store; see
+:func:`repro.service.resolve_store_backend`.
 """
 
 from repro.cluster.auth import (
@@ -26,14 +23,6 @@ from repro.cluster.auth import (
     TokenBucket,
     credential_from_headers,
 )
-from repro.cluster.backends import (
-    PEERS_FILE,
-    ReplicatedStoreBackend,
-    StoreBackend,
-    resolve_store_backend,
-    write_peers_file,
-)
-from repro.cluster.events import TERMINAL_EVENTS, JobEventBroker
 from repro.cluster.shedding import LoadShedder, ShedError, SheddingPolicy
 
 __all__ = [
@@ -42,19 +31,12 @@ __all__ = [
     "Authenticator",
     "ExpiredKeyError",
     "InvalidKeyError",
-    "JobEventBroker",
     "LoadShedder",
     "MissingKeyError",
-    "PEERS_FILE",
     "QuotaExceededError",
     "RateLimitedError",
-    "ReplicatedStoreBackend",
     "ShedError",
     "SheddingPolicy",
-    "StoreBackend",
-    "TERMINAL_EVENTS",
     "TokenBucket",
     "credential_from_headers",
-    "resolve_store_backend",
-    "write_peers_file",
 ]

@@ -21,10 +21,9 @@ Pieces:
   local ``compile``/``submit``/``compile_portfolio`` API with retries
   and typed :class:`ServerError` subclasses;
 * :class:`ShardRouter` — N server processes behind a fingerprint-hash
-  router sharing one persistent result store;
-* :mod:`repro.cluster` — the multi-node building blocks the server
-  composes: pluggable/replicated store backends, API-key auth with
-  rate limits, the job-event broker and the load shedder;
+  router sharing one ``dir:`` persistent result store;
+* :mod:`repro.cluster` — the admission pieces the server composes:
+  API-key auth with rate limits, and the load shedder;
 * ``python -m repro.server`` — the serving CLI;
 * ``benchmarks/perf/server_load.py`` — the load harness recording
   cold/warm requests-per-second and latency percentiles.

@@ -44,10 +44,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="worker *processes* behind the fingerprint-hash "
                              "router; 1 serves in-process (default 1)")
     parser.add_argument("--store", default=None, metavar="SPEC",
-                        help="persistent result store: a directory path, "
-                             "'dir:PATH', or 'replicated:PATH?peers=...' for "
-                             "the peer-fetching multi-node backend (created "
-                             "if missing)")
+                        help="persistent result store: a directory path or "
+                             "'dir:PATH' (created if missing); all shards "
+                             "share it")
     parser.add_argument("--auth-keys", default=None, metavar="SPEC",
                         help="API keys: a JSON file path or inline JSON "
                              "({'keys': [{'key': ..., 'name': ..., 'rate': "
@@ -92,16 +91,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shards > 1:
         from repro.server.sharding import ShardRouter
 
-        router = ShardRouter(
-            shards=args.shards,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            store=args.store,
-            durations=args.target,
-            max_pending=args.max_pending,
-            auth=args.auth_keys,
-        )
+        try:
+            router = ShardRouter(
+                shards=args.shards,
+                host=args.host,
+                port=args.port,
+                workers=args.workers,
+                store=args.store,
+                durations=args.target,
+                max_pending=args.max_pending,
+                auth=args.auth_keys,
+            )
+        except ValueError as error:  # a bad --store or --auth-keys spec
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         router.start()
         print(f"repro.server listening on {router.url} "
               f"(shards={args.shards}, workers={args.workers}/shard"
@@ -117,15 +120,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.server.app import build_server
 
-    server = build_server(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        store=args.store,
-        durations=args.target,
-        max_pending=args.max_pending,
-        auth=args.auth_keys,
-    )
+    try:
+        server = build_server(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            store=args.store,
+            durations=args.target,
+            max_pending=args.max_pending,
+            auth=args.auth_keys,
+        )
+    except ValueError as error:  # a bad --store or --auth-keys spec
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"repro.server listening on {server.url} "
           f"(workers={args.workers}"
           f"{', store=' + args.store if args.store else ''})",

@@ -11,11 +11,8 @@ dependencies beyond the standard library.  Resources:
 ``GET /v1/jobs/{id}``                       job status + report
 ``GET /v1/jobs/{id}/result``                adapted circuit (JSON + QASM),
                                             cost, contenders; long-polls
-                                            with ``?timeout=SECONDS``
-``GET /v1/jobs/{id}/events``                server-sent event stream of the
-                                            job's lifecycle (the primary
-                                            result path; heartbeats keep
-                                            idle streams alive)
+                                            with ``?timeout=SECONDS`` (the
+                                            one way to wait for a result)
 ``DELETE /v1/jobs/{id}``                    cancel
 ``POST /v1/batch``                          submit a workload manifest
 ``GET /v1/suite``                           bundled-benchmark index
@@ -28,9 +25,6 @@ dependencies beyond the standard library.  Resources:
                                             (``?format=prometheus`` for
                                             text exposition)
 ``POST /internal/drain``                    quiesce hook (sharding router)
-``GET /internal/store/{digest}``            raw persistent-store entry
-                                            (peer replication; see
-                                            :mod:`repro.cluster.backends`)
 ==========================================  ===============================
 
 With API keys configured (``build_server(auth=...)`` or the
@@ -55,7 +49,6 @@ the worker pool winds down.
 from __future__ import annotations
 
 import json
-import math
 import re
 import select
 import socket
@@ -65,15 +58,13 @@ from collections import OrderedDict
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
 from repro.api.registry import UnknownTechniqueError
 from repro.circuits.circuit import QuantumCircuit
 from repro.cluster.auth import AuthError, Authenticator, credential_from_headers
-from repro.cluster.backends import resolve_store_backend
-from repro.cluster.events import TERMINAL_EVENTS, JobEventBroker
 from repro.cluster.shedding import LoadShedder, ShedError, SheddingPolicy
 from repro.hardware import spin_qubit_target
 from repro.hardware.target import Target
@@ -86,7 +77,6 @@ from repro.service.scheduler import (
 )
 from repro.service.store import PersistentResultStore
 from repro.telemetry.instruments import (
-    EVENT_STREAMS_ACTIVE,
     LONGPOLL_ACTIVE,
     SERVER_JOBS_TRACKED,
     SERVER_UPTIME,
@@ -132,33 +122,6 @@ _REMOTE_PARENT_RE = re.compile(r"^\d+:\d+$")
 #: How often a waiting long-poll re-checks its client connection; an
 #: abandoned ``GET .../result`` frees its handler thread within this.
 LONGPOLL_POLL_SECONDS = 1.0
-
-#: Hard cap on one ``GET .../events`` stream; clients reconnect (the
-#: broker replays history, so nothing is lost across reconnects).
-MAX_EVENT_STREAM_SECONDS = 600.0
-
-#: Idle heartbeat interval on event streams.
-EVENT_HEARTBEAT_SECONDS = 15.0
-
-SSE_CONTENT_TYPE = "text/event-stream"
-
-
-def _percentile(values, fraction: float) -> float:
-    """Linear-interpolated percentile of a sample list.
-
-    Shared by the perf/chaos benchmark harnesses (which historically
-    imported it from here); ``fraction`` is in ``[0, 1]``.
-    """
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = fraction * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = min(low + 1, len(ordered) - 1)
-    weight = rank - low
-    return float(ordered[low] * (1.0 - weight) + ordered[high] * weight)
 
 
 class _ClientGone(Exception):
@@ -259,13 +222,6 @@ class CompilationGateway:
             self.shedder = LoadShedder(service.saturation)
         else:
             self.shedder = None
-        # Job-event streaming: the scheduler's lifecycle hook feeds the
-        # broker; SSE handlers subscribe per job.  Technique jobs use the
-        # service job id as the channel key, so coalesced gateway jobs
-        # share one channel; portfolio jobs are published by the gateway
-        # itself under their gateway id.
-        self.broker = JobEventBroker()
-        service.add_listener(self._on_service_event)
         # /metrics serves per-pipeline-pass histograms alongside the
         # per-route ones; the registry aggregates in-process regardless
         # of whether JSONL tracing is on.  The resource sampler keeps
@@ -313,88 +269,6 @@ class CompilationGateway:
                                retry_after=error.retry_after,
                                shed=True) from None
         return key
-
-    # -- job events ------------------------------------------------------
-    def _on_service_event(self, event: str, info: Dict[str, object]) -> None:
-        """Scheduler lifecycle hook -> broker channel per service job."""
-        self.broker.publish(("svc", info["job_id"]), event, info)
-
-    def _event_channel(self, job: _GatewayJob) -> tuple:
-        if job.handle is not None:
-            return ("svc", job.handle.job_id)
-        return ("gw", job.id)
-
-    def _publish_portfolio_event(self, job: _GatewayJob, event: str,
-                                 **extra: object) -> None:
-        self.broker.publish(("gw", job.id), event, {
-            "job_id": job.id, "event": event, "technique": job.label,
-            "status": job.status(), **extra,
-        })
-
-    def job_events(
-        self,
-        job_id: str,
-        timeout: Optional[float] = None,
-        is_alive=None,
-    ) -> Iterator[Tuple[str, Dict[str, object]]]:
-        """Handle ``GET /v1/jobs/{id}/events``: the job's event stream.
-
-        Yields ``(event, payload)`` pairs — history first, then live —
-        ending after the terminal event.  Payload job ids are rewritten
-        to the gateway id (the service's internal id stays visible as
-        ``service_job_id``).  A job that finished before its channel
-        existed (gateway restart, evicted channel) gets a synthesized
-        terminal event instead of a hung stream.
-        """
-        # Unknown-job lookup happens *here*, not inside the generator:
-        # the 404 must fire before the handler commits SSE headers.
-        job = self._job(job_id)
-        return self._job_event_iter(job, timeout, is_alive)
-
-    def _job_event_iter(self, job: _GatewayJob, timeout, is_alive):
-        channel = self._event_channel(job)
-        if job.done() and not any(
-                event in TERMINAL_EVENTS
-                for event, _ in self.broker.history(channel)):
-            status = job.status()
-            terminal = status if status in TERMINAL_EVENTS else "done"
-            yield terminal, {**self.job_summary(job), "event": terminal,
-                             "synthesized": True}
-            return
-        cap = MAX_EVENT_STREAM_SECONDS if timeout is None else max(
-            0.0, min(float(timeout), MAX_EVENT_STREAM_SECONDS))
-        for event, payload in self.broker.stream(
-                channel,
-                heartbeat_seconds=EVENT_HEARTBEAT_SECONDS,
-                poll_seconds=LONGPOLL_POLL_SECONDS,
-                is_alive=is_alive,
-                timeout=cap):
-            out = dict(payload)
-            if job.handle is not None and "job_id" in out:
-                out["service_job_id"] = out["job_id"]
-            out["job_id"] = job.id
-            out.setdefault("event", event)
-            yield event, out
-
-    # -- peer replication ------------------------------------------------
-    def store_entry(self, digest: str) -> str:
-        """Handle ``GET /internal/store/{digest}``: the raw entry document.
-
-        Serves only the *local* tier (``read_raw`` never peer-fetches),
-        so replication can never recurse through a ring of nodes.
-        """
-        store = self.service.store
-        if store is None:
-            from repro.api.cache import persistent_store
-
-            store = persistent_store()
-        reader = getattr(store, "read_raw", None)
-        if reader is None:
-            raise ApiError(404, "this server has no persistent store")
-        document = reader(digest)
-        if document is None:
-            raise ApiError(404, f"no store entry {digest!r}")
-        return document
 
     # -- decoding --------------------------------------------------------
     def parse_circuit(self, payload: Dict[str, object]) -> QuantumCircuit:
@@ -541,13 +415,6 @@ class CompilationGateway:
                 [str(key) for key in portfolio],
                 policy=policy, use_cache=use_cache, **options,
             )
-            # The service's lifecycle hook doesn't see portfolio races
-            # (they fan out to technique jobs internally), so the gateway
-            # publishes the portfolio job's own channel.
-            self._publish_portfolio_event(job, "queued")
-            job.future.add_done_callback(
-                lambda future, job=job: self._publish_portfolio_event(
-                    job, self._portfolio_terminal(future)))
         else:
             key = str(technique or "sat_p")
             try:
@@ -569,12 +436,6 @@ class CompilationGateway:
             job = self._new_job(name, "technique", handle.technique)
             job.handle = handle
         return self.job_summary(job)
-
-    @staticmethod
-    def _portfolio_terminal(future) -> str:
-        if future.cancelled():
-            return "cancelled"
-        return "failed" if future.exception() is not None else "done"
 
     def submit_batch(self, payload) -> Dict[str, object]:
         """Handle ``POST /v1/batch``: a workload manifest over the wire."""
@@ -801,7 +662,6 @@ class CompilationGateway:
             },
             "shedding": (self.shedder.snapshot()
                          if self.shedder is not None else None),
-            "events": {"channels": self.broker.channels()},
             # service.statistics() is JSON-safe by contract (regression-
             # tested) and the local sections are plain numbers/strings,
             # so nothing needs a coercion pass here.
@@ -865,7 +725,6 @@ class CompilationGateway:
               timeout: Optional[float] = None) -> None:
         """Reject new work, optionally drain in-flight jobs, stop the pool."""
         self._closed = True
-        self.service.remove_listener(self._on_service_event)
         if REGISTRY.get_collector("gateway") == self._collect_telemetry:
             REGISTRY.unregister_collector("gateway")
         if drain:
@@ -886,8 +745,6 @@ _ROUTES: List[Tuple[str, "re.Pattern[str]", str, str]] = [
      "GET /v1/jobs/{id}"),
     ("GET", re.compile(r"^/v1/jobs/(?P<job_id>[^/]+)/result$"), "result",
      "GET /v1/jobs/{id}/result"),
-    ("GET", re.compile(r"^/v1/jobs/(?P<job_id>[^/]+)/events$"), "events",
-     "GET /v1/jobs/{id}/events"),
     ("DELETE", re.compile(r"^/v1/jobs/(?P<job_id>[^/]+)$"), "cancel",
      "DELETE /v1/jobs/{id}"),
     ("POST", re.compile(r"^/v1/batch$"), "batch", "POST /v1/batch"),
@@ -897,14 +754,12 @@ _ROUTES: List[Tuple[str, "re.Pattern[str]", str, str]] = [
     ("POST", re.compile(r"^/v1/circuits/validate$"), "validate",
      "POST /v1/circuits/validate"),
     ("POST", re.compile(r"^/internal/drain$"), "drain", "POST /internal/drain"),
-    ("GET", re.compile(r"^/internal/store/(?P<digest>[^/]+)$"), "store_entry",
-     "GET /internal/store/{digest}"),
 ]
 
 #: Actions that stay reachable without an API key even when auth is on:
-#: ops probes and node-internal endpoints (deployments firewall
+#: ops probes and the node-internal drain hook (deployments firewall
 #: ``/internal/*`` and the metrics port; API keys protect ``/v1/*``).
-_AUTH_EXEMPT = frozenset({"healthz", "metrics", "drain", "store_entry"})
+_AUTH_EXEMPT = frozenset({"healthz", "metrics", "drain"})
 
 #: Actions that enqueue new work and therefore pass the load shedder.
 _SHED_ACTIONS = frozenset({"submit", "batch", "suite_compile"})
@@ -918,15 +773,6 @@ class _TextResponse:
     def __init__(self, text: str, content_type: str) -> None:
         self.text = text
         self.content_type = content_type
-
-
-class _EventStream:
-    """A server-sent event response: an iterator of (event, payload)."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterator[Tuple[str, Dict[str, object]]]) -> None:
-        self.events = events
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1100,15 +946,6 @@ class _Handler(BaseHTTPRequestHandler):
             return gateway.job_result(match.group("job_id"),
                                       self._query_timeout(query),
                                       is_alive=self._connection_alive)
-        if action == "events":
-            return 200, _EventStream(gateway.job_events(
-                match.group("job_id"),
-                timeout=self._query_timeout(query),
-                is_alive=self._connection_alive))
-        if action == "store_entry":
-            return 200, _TextResponse(
-                gateway.store_entry(match.group("digest")),
-                "application/json")
         if action == "cancel":
             return 200, gateway.cancel_job(match.group("job_id"))
         if action == "batch":
@@ -1136,9 +973,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _respond(self, status: int, payload,
                  retry_after: Optional[float] = None) -> None:
-        if isinstance(payload, _EventStream):
-            self._respond_sse(payload.events)
-            return
         if isinstance(payload, _TextResponse):
             body = payload.text.encode("utf-8")
             content_type = payload.content_type
@@ -1166,37 +1000,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # Client went away; the job (if any) keeps running.
-
-    def _respond_sse(self, events) -> None:
-        """Write one server-sent event stream and close the connection.
-
-        No ``Content-Length`` — the stream's length is unknown — so the
-        connection cannot be kept alive afterwards.  Heartbeats go out
-        as SSE comment lines (``: heartbeat``); every frame is flushed
-        immediately so subscribers see events as they happen.
-        """
-        self.close_connection = True
-        EVENT_STREAMS_ACTIVE.inc()
-        try:
-            self.send_response(200)
-            self.send_header("Content-Type", SSE_CONTENT_TYPE)
-            self.send_header("Cache-Control", "no-store")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.flush()
-            for event, payload in events:
-                if event == "heartbeat":
-                    frame = f": heartbeat {payload.get('elapsed_seconds', 0):.0f}\n\n"
-                else:
-                    frame = (f"event: {event}\n"
-                             f"data: {json.dumps(payload)}\n\n")
-                self.wfile.write(frame.encode("utf-8"))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # Subscriber went away; the job keeps running.
-        finally:
-            EVENT_STREAMS_ACTIVE.dec()
-
 
 class ReproServer(ThreadingHTTPServer):
     """A ``ThreadingHTTPServer`` bound to one :class:`CompilationGateway`."""
@@ -1268,8 +1071,8 @@ def build_server(
     ``port=0`` binds an OS-assigned free port (see ``server.port``).
     Pass an existing ``service`` to serve it directly; otherwise one is
     created with ``workers``/``max_pending``/``store`` (``store``
-    accepts a backend instance or a ``dir:``/``replicated:`` spec
-    string, see :func:`repro.cluster.resolve_store_backend`).
+    accepts a store instance, a ``dir:PATH`` spec or a directory path,
+    see :func:`repro.service.resolve_store_backend`).
 
     ``auth`` is an :class:`repro.cluster.Authenticator`, a key-config
     dict/JSON/path, or ``None`` (falls back to ``$REPRO_API_KEYS``; with
@@ -1283,14 +1086,10 @@ def build_server(
     ``start_background()`` (tests, embedding) or ``serve_forever()``
     (CLI) on the returned server, and ``stop()`` to shut down draining.
     """
-    # A shard prefix ("s0-", "s0g2-" after a respawn) names the node in
-    # the cluster's peers file; generation suffixes are not identity.
-    shard_match = re.match(r"^(s\d+)", job_prefix)
-    node = shard_match.group(1) if shard_match else (job_prefix.rstrip("-") or None)
     if service is None:
         service = CompilationService(
             workers=workers, max_pending=max_pending,
-            store=resolve_store_backend(store, node=node), trace=trace)
+            store=store, trace=trace)
     elif trace is not None:
         from repro.trace.tracer import start_tracing
 

@@ -135,14 +135,6 @@ class RemoteJob:
         """Block for the :class:`AdaptationResult` (long-polling)."""
         return self._client.result(self.job_id, timeout=timeout)
 
-    def stream(self, timeout: Optional[float] = None):
-        """Yield ``(event, payload)`` lifecycle tuples as they happen."""
-        return self._client.stream(self.job_id, timeout=timeout)
-
-    def wait(self, timeout: Optional[float] = None) -> AdaptationResult:
-        """Block for the result by *streaming* events instead of polling."""
-        return self._client.wait(self.job_id, timeout=timeout)
-
     def cancel(self) -> bool:
         return self._client.cancel(self.job_id)
 
@@ -421,92 +413,6 @@ class ReproClient:
         """Cancel a job; ``True`` when the cancellation took effect."""
         payload = self._request("DELETE", f"/v1/jobs/{quote(job_id, safe='')}")
         return bool(payload.get("cancelled"))
-
-    # -- job-event streaming ---------------------------------------------
-    def stream(self, job_id: str, timeout: Optional[float] = None):
-        """Follow one job's lifecycle over Server-Sent Events.
-
-        Yields ``(event, payload)`` tuples — ``queued``, ``running``,
-        ``dedup`` and finally one of ``done``/``failed``/``cancelled``
-        (or ``timeout`` when the server-side stream cap elapses first).
-        Heartbeat comments are consumed silently; the generator returns
-        after the first terminal event.
-        """
-        path = f"/v1/jobs/{quote(job_id, safe='')}/events"
-        if timeout is not None:
-            path += f"?timeout={max(0.0, timeout):.3f}"
-        headers = {"Accept": "text/event-stream"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(self.base_url + path, headers=headers)
-        # The socket timeout only needs to outlive the server's heartbeat
-        # cadence (15 s), not the whole stream — each frame resets it.
-        socket_timeout = max(self.timeout, 60.0)
-        try:
-            response = urllib.request.urlopen(request, timeout=socket_timeout)
-        except urllib.error.HTTPError as error:
-            raise _error_for(error.code, self._decode(error.read())) from None
-        except (urllib.error.URLError, ConnectionError,
-                socket.timeout, TimeoutError) as error:
-            reason = getattr(error, "reason", error)
-            raise ServerUnavailableError(
-                f"cannot reach {self.base_url + path}: {reason}") from None
-        with response:
-            event: Optional[str] = None
-            data: List[str] = []
-            for raw_line in response:
-                line = raw_line.decode("utf-8", "replace").rstrip("\r\n")
-                if not line:
-                    # Blank line terminates one SSE frame.
-                    if event is not None:
-                        payload: Dict[str, object] = {}
-                        if data:
-                            try:
-                                decoded = json.loads("\n".join(data))
-                            except json.JSONDecodeError:
-                                decoded = {}
-                            if isinstance(decoded, dict):
-                                payload = decoded
-                        yield event, payload
-                        if event in ("done", "failed", "cancelled"):
-                            return
-                    event, data = None, []
-                elif line.startswith(":"):
-                    continue  # heartbeat / comment
-                elif line.startswith("event:"):
-                    event = line[len("event:"):].strip()
-                elif line.startswith("data:"):
-                    data.append(line[len("data:"):].strip())
-
-    def wait(self, job_id: str,
-             timeout: Optional[float] = None) -> AdaptationResult:
-        """Block for a job's result by streaming its events.
-
-        The event stream replaces long-polling as the primary wait path:
-        one held connection instead of repeated result requests.  When
-        the server caps a stream (or a connection drops mid-stream) the
-        client reconnects until the deadline; the result document itself
-        is fetched once a terminal event arrives.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining: Optional[float] = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"job {job_id} still pending after {timeout} seconds")
-            terminal = None
-            for event, _payload in self.stream(job_id, timeout=remaining):
-                if event in ("done", "failed", "cancelled"):
-                    terminal = event
-                    break
-            if terminal is not None:
-                # Terminal state reached: the result document is ready
-                # (or raises the matching typed error) without waiting.
-                return self.result(job_id, timeout=30.0)
-            # Stream ended without a terminal event (server-side cap or
-            # dropped connection) — reconnect within the deadline.
 
     def compile(
         self,

@@ -17,11 +17,12 @@ them with one routing HTTP server:
   aggregated (per-shard documents plus summed counters).
 
 All shards share one :class:`repro.service.PersistentResultStore`
-directory as their L2 tier.  The store's writes are atomic
-(``os.replace``) and its entries content-addressed, so cross-process
-sharing needs no extra coordination: the per-shard locks serialize
-writers within a process and concurrent processes at worst redundantly
-write the same bytes.
+directory as their L2 tier, so a result any shard computed is an L2 hit
+on every other shard.  The store's writes are atomic (``os.replace``)
+and its entries content-addressed, so cross-process sharing needs no
+extra coordination: the per-shard locks serialize writers within a
+process and concurrent processes at worst redundantly write the same
+bytes.
 
 The router also **supervises** its shards: a health-monitor thread
 detects a dead worker process, respawns it under a fresh job-id
@@ -51,7 +52,7 @@ from urllib.parse import urlparse
 
 from repro.api.fingerprints import payload_fingerprint
 from repro.cluster.auth import AuthError, Authenticator, credential_from_headers
-from repro.cluster.backends import _parse_spec, write_peers_file
+from repro.service.store import resolve_store_backend
 from repro.telemetry.prometheus import (
     CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
     merge_prometheus,
@@ -69,13 +70,9 @@ _FORWARD_TIMEOUT_SECONDS = 120.0
 _FORWARDED_HEADERS = (TRACE_HEADER, "X-Repro-Deadline", "Authorization",
                       "X-API-Key")
 
-#: Event-stream resources are relayed incrementally, not buffered.
-_EVENTS_PATH = re.compile(r"^/v1/jobs/(?P<job_id>[^/]+)/events$")
-
 #: Per-backend store statistics summed across shards in /metrics.
 _STORE_SUMMED = ("total_bytes", "entries", "hits", "misses", "puts",
-                 "evictions", "corrupted", "peer_hits", "peer_misses",
-                 "peer_errors")
+                 "evictions", "corrupted")
 
 #: Submission resources routed by body fingerprint (prefix match for the
 #: suite-compile resource).
@@ -140,21 +137,14 @@ class ShardRouter:
             raise ValueError("the router needs at least one shard")
         if store is not None and not isinstance(store, str):
             raise TypeError(
-                "the sharded store must be a directory path or a "
-                "'dir:'/'replicated:' spec string (each worker process "
-                "opens its own store backend over it)"
+                "the sharded store must be a directory path or a 'dir:' "
+                "spec string (each worker process opens it itself)"
             )
+        # Refuse a bad spec here, before any shard process fails on it.
+        resolve_store_backend(store)
         self.shards = shards
         self.host = host
         self.store = store
-        # A replicated store spec makes each shard keep a *private*
-        # local tier under <root>/s<k> and peer-fetch misses over HTTP;
-        # the router publishes the peer map once every port is known.
-        self._store_root: Optional[str] = None
-        if store is not None:
-            scheme, root, _ = _parse_spec(store)
-            if scheme == "replicated":
-                self._store_root = root
         # The router is the charging edge of the key set; the shards it
         # spawns get the same keys in validity-only mode.
         self._auth = Authenticator.from_spec(auth, enforce_limits=True)
@@ -215,7 +205,6 @@ class ShardRouter:
             except Exception:  # queue.Empty (multiprocessing re-exports it)
                 continue
             self._shard_ports[index] = port
-        self._publish_peers()
 
         router = self
         handler = type("_BoundRouterHandler", (_RouterHandler,),
@@ -268,22 +257,7 @@ class ShardRouter:
                 except Exception:  # queue.Empty
                     continue
                 self._shard_ports[announced] = port
-            self._publish_peers()
             return True
-
-    def _publish_peers(self) -> None:
-        """Refresh the replicated store's peer map (node -> base URL).
-
-        Shard ports are OS-assigned, so the peers file can only be
-        written once they are known — and must be rewritten whenever a
-        respawn moves one.  Backends re-read it on mtime change.
-        """
-        if self._store_root is None:
-            return
-        write_peers_file(self._store_root, {
-            f"s{index}": self.shard_url(index)
-            for index in sorted(self._shard_ports)
-        })
 
     def respawns(self) -> Dict[int, int]:
         """Per-shard respawn counts so far (a snapshot)."""
@@ -571,10 +545,10 @@ class ShardRouter:
                     value = service.get(counter)
                     if isinstance(value, (int, float)):
                         totals[counter] = totals.get(counter, 0) + value
-                # Per-backend store statistics: shards sharing one
-                # local-dir double-report the same bytes, but replicated
-                # backends own private tiers, so the per-backend sums
-                # (and peer hit/miss counters) are the cluster truth.
+                # Per-backend store statistics.  Hit, miss and put
+                # counters are per process, so their sums are the
+                # cluster's; shards sharing one directory each report
+                # its full footprint, so entries and bytes over-count.
                 l2 = service.get("l2")
                 if isinstance(l2, dict):
                     backend = str(l2.get("backend", "local_dir"))
@@ -613,12 +587,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     def _relay(self, method: str) -> None:
         parsed = urlparse(self.path)
-        if method == "GET" and _EVENTS_PATH.match(parsed.path):
-            # Event streams must flow through incrementally — buffering
-            # the whole response would hold every event until the job
-            # ended and defeat the stream.
-            self._relay_stream(parsed)
-            return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -662,88 +630,3 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self.wfile.write(answer)
         except (BrokenPipeError, ConnectionResetError):
             pass
-
-    def _send_buffered(self, status: int, answer: bytes,
-                       retry_after: Optional[float] = None) -> None:
-        """One JSON answer on the streaming path (errors before commit)."""
-        self.close_connection = True
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(answer)))
-            if retry_after is not None:
-                self.send_header("Retry-After",
-                                 str(max(1, int(-(-retry_after // 1)))))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(answer)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _relay_stream(self, parsed) -> None:
-        """Relay ``GET /v1/jobs/{id}/events`` chunk-by-chunk.
-
-        Edge auth applies exactly as on buffered routes; the shard's
-        SSE bytes are then copied through as they arrive (``read1``
-        returns whatever the socket has) with a flush per chunk.
-        """
-        router = self.router
-        rejected = router.authorize(self.headers)
-        if rejected is not None:
-            status, answer = rejected
-            retry_after = None
-            try:
-                retry_after = float(json.loads(answer).get("retry_after"))
-            except (TypeError, ValueError):
-                pass
-            self._send_buffered(status, answer, retry_after)
-            return
-        job_id = _EVENTS_PATH.match(parsed.path).group("job_id")
-        index = router.shard_for_job(job_id)
-        if index is None:
-            self._send_buffered(404, json.dumps(
-                {"error": f"unknown job {job_id!r}"}).encode())
-            return
-        if index not in router._shard_ports:
-            status, answer = router._shard_down_answer(
-                f"shard {index} is restarting; job {job_id!r} events are "
-                "unavailable")
-            self._send_buffered(status, answer,
-                                _SHARD_RETRY_AFTER_SECONDS)
-            return
-        target = parsed.path if not parsed.query else \
-            f"{parsed.path}?{parsed.query}"
-        request = urllib.request.Request(
-            router.shard_url(index) + target,
-            headers=router._relayed_headers(self.headers))
-        try:
-            response = urllib.request.urlopen(
-                request, timeout=_FORWARD_TIMEOUT_SECONDS)
-        except urllib.error.HTTPError as error:
-            self._send_buffered(error.code, error.read())
-            return
-        except OSError:
-            status, answer = router._shard_down_answer(
-                f"shard {index} is unreachable")
-            self._send_buffered(status, answer, _SHARD_RETRY_AFTER_SECONDS)
-            return
-        self.close_connection = True
-        try:
-            with response:
-                self.send_response(response.status)
-                self.send_header(
-                    "Content-Type",
-                    response.headers.get("Content-Type",
-                                         "text/event-stream"))
-                self.send_header("Cache-Control", "no-store")
-                self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.flush()
-                while True:
-                    chunk = response.read1(8192)
-                    if not chunk:
-                        break
-                    self.wfile.write(chunk)
-                    self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # Either side went away; the job keeps running.

@@ -16,7 +16,9 @@ Pieces (each usable on its own):
 
 * :class:`PersistentResultStore` — the disk-backed, sharded, LRU-evicted
   L2 cache behind the in-process L1 (:func:`use_persistent_store`
-  installs one under plain ``repro.compile`` without a service);
+  installs one under plain ``repro.compile`` without a service, and
+  :func:`resolve_store_backend` turns a ``dir:PATH`` or path spec into
+  one);
 * :class:`CompilationService` — bounded job queue, worker pool,
   futures-based ``submit``/``result``/``status``, request coalescing and
   graceful shutdown;
@@ -43,6 +45,7 @@ from repro.service.store import (
     PersistentResultStore,
     StoreInfo,
     disable_persistent_store,
+    resolve_store_backend,
     use_persistent_store,
 )
 
@@ -57,6 +60,7 @@ __all__ = [
     "DEFAULT_MAX_BYTES",
     "use_persistent_store",
     "disable_persistent_store",
+    "resolve_store_backend",
     "COST_POLICIES",
     "DEFAULT_PORTFOLIO",
     "portfolio_score",

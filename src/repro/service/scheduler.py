@@ -19,10 +19,11 @@ into a long-lived server-side component:
   ``cancel_pending=True``) and workers exit cleanly.
 
 When constructed with a ``store`` (a
-:class:`repro.service.PersistentResultStore`, or a path), the service
-installs it behind :func:`repro.compile`, so every compilation — from
-this service or from plain ``repro.compile`` calls — reads and writes
-the shared L1 → L2 cache stack.
+:class:`repro.service.PersistentResultStore`, a ``dir:PATH`` spec or a
+directory path), the service installs it behind :func:`repro.compile`,
+so every compilation — from this service or from plain
+``repro.compile`` calls — reads and writes the shared L1 → L2 cache
+stack.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.resilience.budget import (
     budget_scope,
 )
 from repro.resilience.faults import maybe_fault
-from repro.service.store import PersistentResultStore
+from repro.service.store import PersistentResultStore, resolve_store_backend
 from repro.telemetry.instruments import (
     JOBS_PENDING,
     QUEUE_DEPTH,
@@ -295,7 +296,8 @@ class CompilationService:
         Bound on the number of queued (not yet running) jobs.
     store:
         Optional persistent L2 store — a
-        :class:`repro.service.PersistentResultStore` or a directory path.
+        :class:`repro.service.PersistentResultStore`, a ``dir:PATH`` spec
+        or a directory path (see :func:`resolve_store_backend`).
         Installed behind :func:`repro.compile` for the service's lifetime
         (detached again on :meth:`shutdown` if this service installed it).
     mode:
@@ -362,22 +364,13 @@ class CompilationService:
             "degraded": 0,
         }
         self._portfolio_wins: Dict[str, int] = {}
-        self._listeners: List[Callable[[str, Dict[str, object]], None]] = []
 
         self._owns_tracer = False
         if trace is not None:
             start_tracing(trace)
             self._owns_tracer = True
 
-        if isinstance(store, str):
-            # Lazy import: the cluster package sits above the service
-            # layer; resolving here keeps spec strings ("dir:...",
-            # "replicated:...?peers=...") usable everywhere a store
-            # argument is, without a module-level upward import.
-            from repro.cluster.backends import resolve_store_backend
-
-            store = resolve_store_backend(store)
-        self.store = store
+        self.store = store = resolve_store_backend(store)
         self._installed_store = False
         if store is not None and persistent_store() is not store:
             install_persistent_store(store)
@@ -398,58 +391,6 @@ class CompilationService:
         # lifecycle counters, utilization, store bytes/evictions.  Keyed
         # "service" so a newer service instance replaces, never stacks.
         REGISTRY.register_collector("service", self._collect_telemetry)
-
-    # -- lifecycle listeners ---------------------------------------------
-    def add_listener(
-        self, listener: Callable[[str, Dict[str, object]], None]
-    ) -> None:
-        """Subscribe to job lifecycle events.
-
-        ``listener(event, info)`` fires at every transition — ``queued``,
-        ``dedup``, ``running``, ``done``, ``failed``, ``cancelled``,
-        ``interrupted`` — with ``info`` carrying at least ``job_id``,
-        ``status``, ``technique`` and ``waiters``.  Listeners run on the
-        transitioning thread, *outside* the service lock: they may call
-        back into the service, but must return quickly (the event broker
-        hands off to its own condition variable for exactly this reason).
-        """
-        with self._lock:
-            self._listeners.append(listener)
-
-    def remove_listener(
-        self, listener: Callable[[str, Dict[str, object]], None]
-    ) -> None:
-        """Unsubscribe a listener; unknown listeners are ignored."""
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
-
-    def _notify(self, job: _Job, kind: str, **extra: object) -> None:
-        """Fan one lifecycle event out to listeners (never under the lock).
-
-        A listener that raises is dropped from the fan-out for this event
-        only; event delivery must never take down a worker thread.
-        """
-        with self._lock:
-            listeners = list(self._listeners)
-        if not listeners:
-            return
-        event("job.notify", "service", event=kind, job_id=job.job_id)
-        info: Dict[str, object] = {
-            "job_id": job.job_id,
-            "event": kind,
-            "status": job.status.value,
-            "technique": job.technique,
-            "waiters": job.waiters,
-        }
-        info.update(extra)
-        for listener in listeners:
-            try:
-                listener(kind, info)
-            except Exception:  # noqa: BLE001 - listeners must not kill workers
-                pass
 
     def saturation(self) -> float:
         """Admission pressure in ``[0, 1]``: pending work over capacity.
@@ -540,7 +481,6 @@ class CompilationService:
         if dedup_of is not None:
             event("job.dedup", "service", job_id=dedup_of.job_id,
                   technique=spec.key, waiters=dedup_of.waiters)
-            self._notify(dedup_of, "dedup")
             return JobHandle(self, dedup_of, front)
         event("job.submit", "service", job_id=job.job_id,
               technique=spec.key, circuit=circuit.name)
@@ -562,16 +502,13 @@ class CompilationService:
                 # rather than cancelled out from under the other caller.
                 self._queue.put(job)
                 self._observe_saturation()
-                self._notify(job, "queued")
                 return JobHandle(self, job, front)
             job.future.cancel()
             front.cancel()
-            self._notify(job, "cancelled", reason="queue_full")
             raise ServiceSaturatedError(
                 f"job queue is full ({self._queue.maxsize} pending)"
             ) from None
         self._observe_saturation()
-        self._notify(job, "queued")
         # Close the submit/shutdown race: if shutdown() ran while the put
         # was in flight, this job may sit behind the worker sentinels and
         # would never resolve.  If so (the cancel succeeds only when no
@@ -584,7 +521,6 @@ class CompilationService:
                 self._inflight.pop(key, None)
                 self._jobs.pop(job.job_id, None)
             front.cancel()
-            self._notify(job, "cancelled", reason="shutdown")
             raise RuntimeError(
                 "CompilationService was shut down while the job was being "
                 "submitted"
@@ -658,7 +594,6 @@ class CompilationService:
                         del self._inflight[job.key]
                 event("job.cancel", "service", job_id=job.job_id,
                       technique=job.technique)
-                self._notify(job, "cancelled")
             elif not job.future.done():
                 # Already running: raise the budget's cancel flag; the
                 # worker observes it at the next checkpoint, unwinds with
@@ -666,7 +601,6 @@ class CompilationService:
                 job.budget.cancel("all waiters cancelled")
                 event("job.interrupt", "service", job_id=job.job_id,
                       technique=job.technique)
-                self._notify(job, "interrupted")
         return True
 
     # -- worker loop -----------------------------------------------------
@@ -688,7 +622,6 @@ class CompilationService:
             job.status = JobStatus.RUNNING
             self._busy_workers += 1
             self._observe_saturation()
-        self._notify(job, "running")
         started = time.monotonic()
         job.started_wall = time.time()
         job.started_mono = started
@@ -740,8 +673,6 @@ class CompilationService:
             for front in fronts:
                 if front.set_running_or_notify_cancel():
                     front.set_exception(error)
-            self._notify(job, "cancelled" if cancelled else "failed",
-                         error=type(error).__name__)
         else:
             report = getattr(result, "report", None)
             with self._lock:
@@ -755,7 +686,6 @@ class CompilationService:
             for front in fronts:
                 if front.set_running_or_notify_cancel():
                     front.set_result(result)
-            self._notify(job, "done")
 
     def _run_in_pool(self, job: _Job) -> object:
         """Dispatch one job to the process pool, surviving worker death.
@@ -949,8 +879,8 @@ class CompilationService:
         if store is not None:
             info = store.info()
             lookups = info.hits + info.misses
-            # Backends report richer statistics() (backend label, peer
-            # counters); fall back to bare StoreInfo for minimal stores.
+            # Stores report statistics() with their backend label; fall
+            # back to bare StoreInfo for minimal duck-typed stores.
             if hasattr(store, "statistics"):
                 stats["l2"] = store.statistics()
             else:

@@ -63,9 +63,9 @@ _TMP_GRACE_SECONDS = 60.0
 #: Sidecar directory (under the store root) corrupt entries are moved to.
 QUARANTINE_DIR = ".corrupt"
 
-#: Shape of a valid entry digest (sha256 hex); raw-entry access validates
-#: it so a peer request can never escape the store root.
-_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
+#: A ``scheme:`` prefix on a store spec (``dir:PATH``).  Any other
+#: scheme is refused rather than read as a directory name.
+_SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]+):")
 
 
 @dataclass
@@ -101,11 +101,12 @@ def _entry_digest(key: CacheKey) -> str:
 class PersistentResultStore:
     """Sharded on-disk result store keyed by compilation fingerprints.
 
-    This is the **local-dir backend** of the pluggable store-backend
-    interface (see :mod:`repro.cluster.backends`): any object with the
-    same ``get``/``put``/``read_raw``/``write_raw``/``info``/
-    ``statistics`` surface can be installed behind :func:`repro.compile`
-    or a :class:`repro.service.CompilationService`.
+    Any object with the same ``get``/``put``/``info`` surface can be
+    installed behind :func:`repro.compile` or a
+    :class:`repro.service.CompilationService` instead (see
+    :func:`resolve_store_backend`).  Several processes may open one
+    directory at once: writes are atomic and entries content-addressed,
+    so sharded servers share it as their common L2 tier.
     """
 
     #: Backend label carried on statistics and telemetry samples.
@@ -232,74 +233,6 @@ class PersistentResultStore:
             )
         if over_budget:
             self._evict_to_budget()
-
-    # -- raw entry access (the peer-replication wire format) -------------
-    def read_raw(self, digest: str) -> Optional[str]:
-        """The stored entry document for ``digest``, verbatim, or ``None``.
-
-        This is the peer-fetch serving path (``GET /internal/store/...``):
-        the exact on-disk JSON text travels to the requesting node, which
-        validates it before adopting it.  Reads do not touch the hit/miss
-        counters — serving a peer is not a local cache lookup.
-        """
-        if not _DIGEST_RE.match(digest):
-            return None
-        try:
-            with open(self._path_of(digest), "r", encoding="utf-8") as handle:
-                return handle.read()
-        except OSError:
-            return None
-
-    def write_raw(self, digest: str, document: str) -> bool:
-        """Adopt a peer-fetched entry document; ``True`` when stored.
-
-        The document must parse as a store entry (``format``/``result``
-        keys) — a corrupt or truncated peer response is rejected here
-        rather than quarantined later.  Writes are atomic exactly like
-        :meth:`put` and count toward the size budget.
-        """
-        if not _DIGEST_RE.match(digest):
-            return False
-        try:
-            payload = json.loads(document)
-        except ValueError:
-            return False
-        if not isinstance(payload, dict) or "result" not in payload:
-            return False
-        if payload.get("format") != STORE_FORMAT:
-            return False
-        shard = self._shard_of(digest)
-        shard_dir = os.path.join(self.root, shard)
-        path = self._path_of(digest)
-        with self._shard_lock(shard):
-            os.makedirs(shard_dir, exist_ok=True)
-            try:
-                replaced = os.stat(path).st_size
-            except OSError:
-                replaced = 0
-            descriptor, tmp_path = tempfile.mkstemp(
-                prefix=digest + ".", suffix=".tmp", dir=shard_dir
-            )
-            try:
-                with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    handle.write(document)
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        with self._counters_lock:
-            self._puts += 1
-            self._total_bytes += len(document.encode("utf-8")) - replaced
-            over_budget = (
-                self.max_bytes is not None
-                and 0 <= self.max_bytes < self._total_bytes
-            )
-        if over_budget:
-            self._evict_to_budget()
-        return True
 
     # -- maintenance -----------------------------------------------------
     def _quarantine(self, digest: str, path: str) -> int:
@@ -430,6 +363,33 @@ class PersistentResultStore:
 
     def __repr__(self) -> str:
         return f"PersistentResultStore(root={self.root!r}, max_bytes={self.max_bytes})"
+
+
+def resolve_store_backend(spec):
+    """Turn a ``store`` argument into a store instance.
+
+    ``None`` stays ``None``; an object with ``get``/``put`` passes
+    through; a string is ``dir:PATH`` or a bare directory path.  A
+    string with any other ``scheme:`` prefix raises ``ValueError`` (a
+    path that really contains a colon can be given as ``dir:PATH``).
+    """
+    if spec is None:
+        return None
+    if hasattr(spec, "get") and hasattr(spec, "put"):
+        return spec
+    if not isinstance(spec, str):
+        raise TypeError(f"cannot resolve a store backend from {type(spec).__name__}")
+    path = spec
+    scheme = _SCHEME_RE.match(spec)
+    if scheme is not None:
+        if scheme.group(1) != "dir":
+            raise ValueError(
+                f"unknown store scheme {scheme.group(1)!r} in {spec!r}; "
+                "expected 'dir:PATH' or a directory path")
+        path = spec[len("dir:"):]
+    if not path:
+        raise ValueError(f"store spec {spec!r} names no directory")
+    return PersistentResultStore(path)
 
 
 def use_persistent_store(

@@ -102,11 +102,6 @@ STORE_EVENTS = REGISTRY.counter(
     "corruptions).",
     ("backend", "event"),
 )
-STORE_PEER_FETCHES = REGISTRY.counter(
-    "repro_store_peer_fetches_total",
-    "Replicated-backend peer fetch attempts, by backend and outcome.",
-    ("backend", "outcome"),
-)
 
 # -- cluster: auth / admission ---------------------------------------------
 
@@ -120,15 +115,6 @@ SHED_REQUESTS = REGISTRY.counter(
     "repro_shed_requests_total",
     "Submissions refused by the load shedder, by key name.",
     ("key",),
-)
-JOB_EVENTS_PUBLISHED = REGISTRY.counter(
-    "repro_job_events_total",
-    "Job lifecycle events published to streaming subscribers, by event.",
-    ("event",),
-)
-EVENT_STREAMS_ACTIVE = REGISTRY.gauge(
-    "repro_event_streams_active",
-    "Server-sent event streams currently open.",
 )
 LONGPOLL_ACTIVE = REGISTRY.gauge(
     "repro_longpoll_active",
@@ -229,8 +215,6 @@ SINKS: Dict[str, MetricSink] = {
         _CACHE_TIERS[fields["level"]], "hit").inc(),
     "cache.miss": lambda _n, fields, _s: CACHE_REQUESTS.labels(
         _CACHE_TIERS[fields["level"]], "miss").inc(),
-    "job.notify": lambda _n, fields, _s: JOB_EVENTS_PUBLISHED.labels(
-        fields["event"]).inc(),
     "sat.conflicts": _sat_progress,
     "smt.theory": lambda _n, fields, _s: _solver_events(
         theory_checks=fields["d_checks"], theory_pivots=fields["d_pivots"],
@@ -241,8 +225,6 @@ SINKS: Dict[str, MetricSink] = {
         fields["key"], fields["outcome"]).inc(),
     "admission.shed": lambda _n, fields, _s: SHED_REQUESTS.labels(
         fields["key"]).inc(),
-    "store.peer_fetch": lambda _n, fields, _s: STORE_PEER_FETCHES.labels(
-        fields["backend"], fields["outcome"]).inc(),
 }
 
 

@@ -1,9 +1,10 @@
-"""Multi-node serving end-to-end: a real authenticated 2-shard deployment.
+"""Sharded serving end-to-end: a real authenticated 2-shard deployment.
 
 One process fixture (shards are not free) exercises the whole cluster
-surface: API-key auth at the router edge, SSE event streams relayed
-through it, the replicated store's cross-shard peer fetch, rate-limit
-and quota rejections with ``Retry-After``, and the client honoring it.
+surface: API-key auth at the router edge, long-poll results relayed
+through it, cross-shard L2 hits through the shared store directory,
+rate-limit and quota rejections with ``Retry-After``, and the client
+honoring it.
 """
 
 import json
@@ -39,7 +40,7 @@ def cluster(tmp_path_factory):
     # circuits earlier tests compiled (the fingerprint ignores names)
     # get served from inherited memory and never touch the store.
     clear_compilation_cache()
-    with ShardRouter(shards=2, workers=2, store=f"replicated:{store}",
+    with ShardRouter(shards=2, workers=2, store=store,
                      auth=json.dumps(KEYS)) as router:
         yield router, ReproClient(router.url, timeout=120.0,
                                   api_key="sk-prod")
@@ -80,30 +81,28 @@ class TestAuthAtTheEdge:
         assert anonymous.healthz()["status"] in ("ok", "degraded")
         assert "shards" in anonymous.metrics()
 
-    def test_events_require_a_key_too(self, cluster):
+    def test_result_requires_a_key(self, cluster):
         router, _ = cluster
         anonymous = ReproClient(router.url, retries=0, api_key="")
         with pytest.raises(AuthenticationError):
-            list(anonymous.stream("s0-j1"))
+            anonymous.result("s0-j1", timeout=1)
 
 
 class TestAuthenticatedServing:
-    def test_compile_streams_lifecycle_through_the_router(self, cluster):
+    def test_router_compile_long_polls(self, cluster):
         _, client = cluster
-        job = client.submit(_circuit("sse"), technique="direct")
-        names = [name for name, _ in job.stream(timeout=120)]
-        assert names[-1] == "done"
-        assert "queued" in names
-        result = job.wait(timeout=60)
+        job = client.submit(_circuit("longpoll"), technique="direct")
+        assert job.job_id.startswith(("s0-", "s1-"))
+        result = job.result(timeout=120)
         assert result.cost.gate_count > 0
+        assert job.status() == "done"
 
-    def test_wait_returns_the_result_for_finished_jobs(self, cluster):
-        # Replay-before-wait: streaming a long-done job ends immediately.
+    def test_finished_job_result_is_immediate(self, cluster):
         _, client = cluster
-        job = client.submit(_circuit("sse"), technique="direct")
-        job.result(timeout=120)
+        job = client.submit(_circuit("longpoll"), technique="direct")
+        first = job.result(timeout=120)
         started = time.monotonic()
-        assert job.wait(timeout=60).cost.gate_count > 0
+        assert job.result(timeout=60).cost == first.cost
         assert time.monotonic() - started < 30
 
 
@@ -159,27 +158,29 @@ class TestRateLimits:
 
 
 class TestCrossShardStore:
-    def test_peer_fetch_serves_the_other_shards_results(self, cluster):
-        router, client = cluster
-        # Shards keep private store tiers; submitting the same circuit
-        # *directly* to both shards forces the second one to peer-fetch.
+    def test_shared_store_serves_other_shards(self, cluster):
+        router, _ = cluster
+        # Submitting one circuit *directly* to each shard: shard 1 never
+        # compiled it, so its L1 misses and the shared directory serves
+        # the entry shard 0 wrote.
         shard_clients = [
             ReproClient(router.shard_url(i), timeout=120.0, api_key="sk-prod")
             for i in (0, 1)
         ]
         circuit = _circuit("xshard")
+        circuit.h(2)  # A circuit no other test compiled.
+
+        def l2_hits():
+            return shard_clients[1].metrics()["service"]["l2"]["hits"]
+
+        before = l2_hits()
         first = shard_clients[0].compile(circuit, technique="direct")
         second = shard_clients[1].compile(circuit, technique="direct")
         assert first.cost == second.cost
-
-        merged = client.metrics()
-        stores = merged.get("stores", {})
-        assert "replicated" in stores
-        assert stores["replicated"]["peer_hits"] >= 1
+        assert l2_hits() > before
 
     def test_store_statistics_aggregate_per_backend(self, cluster):
         _, client = cluster
-        stores = client.metrics()["stores"]
-        replicated = stores["replicated"]
-        assert replicated["shards"] == 2
-        assert replicated["puts"] >= 1
+        local_dir = client.metrics()["stores"]["local_dir"]
+        assert local_dir["shards"] == 2
+        assert local_dir["puts"] >= 1

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +12,15 @@ import repro
 from repro.api import PAPER_TECHNIQUES, cache_key, clear_compilation_cache
 from repro.core import AdaptationResult
 from repro.hardware import spin_qubit_target
-from repro.service import PersistentResultStore
+from repro.server import ShardRouter, build_server
+from repro.service import (
+    CompilationService,
+    PersistentResultStore,
+    resolve_store_backend,
+)
 from repro.service.store import _entry_digest
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -180,3 +190,55 @@ class TestCompileIntegration:
             assert store.info().hits == 1
         finally:
             repro.disable_persistent_store()
+
+
+class TestStoreSpecs:
+    @pytest.mark.parametrize("spec, valid", [
+        ("dir:store", True),
+        ("store", True),
+        ("replicated:store", False),
+        ("replicated:store?peers=http://127.0.0.1:1&timeout=0.5", False),
+    ])
+    def test_spec_at_every_entry_point(self, tmp_path, monkeypatch,
+                                       spec, valid):
+        """``dir:`` and bare paths open the directory; any other scheme is
+        refused by the library entry points and the CLI (exit 2) without
+        creating anything on disk."""
+        monkeypatch.chdir(tmp_path)
+        root = os.path.realpath(tmp_path / "store")
+        if valid:
+            assert resolve_store_backend(spec).root == root
+            service = CompilationService(workers=1, store=spec)
+            try:
+                assert service.store.root == root
+            finally:
+                service.shutdown()
+            ShardRouter(shards=2, store=spec)  # Validates; spawns nothing.
+            return
+        entry_points = (
+            resolve_store_backend,
+            lambda s: CompilationService(workers=1, store=s),
+            lambda s: build_server(port=0, workers=1, store=s),
+            lambda s: ShardRouter(shards=2, store=s),
+        )
+        for entry_point in entry_points:
+            with pytest.raises(ValueError,
+                               match="unknown store scheme 'replicated'"):
+                entry_point(spec)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.server", "--port", "0",
+             "--store", spec],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 2
+        assert "unknown store scheme" in completed.stderr
+        assert os.listdir(tmp_path) == []
+
+    def test_none_and_store_objects_pass_through(self, tmp_path):
+        assert resolve_store_backend(None) is None
+        store = PersistentResultStore(str(tmp_path / "s"))
+        assert resolve_store_backend(store) is store
+        with pytest.raises(ValueError, match="names no directory"):
+            resolve_store_backend("dir:")
+        with pytest.raises(TypeError):
+            resolve_store_backend(42)

@@ -102,13 +102,10 @@ EXPECTED_LABELS = set().union(
     _labels("repro_cache_requests_total", ("outcome", "tier"),
             ("hit", "l1"), ("miss", "l1")),
     _labels("repro_compile_duration_seconds", ("technique",), ("sat_p",)),
-    _labels("repro_event_streams_active"),
     _labels("repro_http_request_duration_seconds", ("route",),
             *((route,) for route in ROUTES)),
     _labels("repro_http_requests_total", ("route",),
             *((route,) for route in ROUTES)),
-    _labels("repro_job_events_total", ("event",),
-            ("queued",), ("running",), ("done",)),
     _labels("repro_longpoll_active"),
     _labels("repro_pass_duration_seconds", ("pass",),
             *((name,) for name in PASSES)),
@@ -144,7 +141,7 @@ EXPECTED_POINTS = {"job.submit", "cache.hit", "omt.round", "smt.check"}
 
 #: Point events the single-hook instrumentation added; each is named in
 #: CHANGES.md.  They may appear, nothing else may.
-ADDED_POINTS = {"cache.miss", "job.notify", "sat.conflicts", "smt.theory"}
+ADDED_POINTS = {"cache.miss", "sat.conflicts", "smt.theory"}
 
 
 @pytest.fixture(scope="module")
