@@ -6,7 +6,7 @@ key (the names used in the paper's figures):
 ========== ================================================== ============
 key        description                                        objective
 ========== ================================================== ============
-sat_f      SMT adaptation maximizing circuit fidelity         Eq. (8)
+sat_f      exact adaptation maximizing circuit fidelity       Eq. (8)
 sat_r      SMT adaptation minimizing qubit idle time          Eq. (9)
 sat_p      SMT adaptation, combined objective                 Eq. (10)
 direct     direct basis translation (the reference baseline)  --
@@ -211,7 +211,7 @@ def _register_builtins() -> None:
     register_technique(
         "sat_f",
         lambda: _standard_pipeline("sat_f", sat_rules, SmtSelection("fidelity")),
-        description="SMT adaptation maximizing circuit fidelity (SAT_F, Eq. 8)",
+        description="exact per-block adaptation maximizing circuit fidelity (SAT_F, Eq. 8)",
         aliases=("sat_fidelity",),
         extra_options=sat_options,
     )

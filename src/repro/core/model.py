@@ -12,22 +12,32 @@ block dependency graph ``G = (V, A)``:
   auxiliary real per (substitution, quantity) switched by ``c_s``,
 * one of the objectives SAT_F (Eq. 8), SAT_R (Eq. 9) or SAT_P (Eq. 10).
 
-Solving is delegated to :class:`repro.smt.Optimize` (the pure-Python OMT
-solver standing in for Z3).
+SAT_R and SAT_P are solved by :class:`repro.smt.Optimize` (the pure-Python
+OMT solver standing in for Z3).  SAT_F is solved exactly without it: Eq. (8)
+is a sum of per-block log-fidelities and Eq. (1) conflicts never cross a
+block (:meth:`Substitution.conflicts_with`), so the optimum is, in every
+block, the conflict-free set of candidates with the largest summed
+``log_fidelity_delta``.  :meth:`AdaptationModel.solve` finds that set by
+branch-and-bound per block and reports ``optimality = proven``;
+``max_improvement_rounds`` has no effect there.
+:meth:`AdaptationModel.solve_omt` still solves any objective, SAT_F
+included, through the OMT encoding and serves as the exact solver's oracle.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.core.preprocessing import PreprocessedCircuit
 from repro.core.rules import Substitution
-from repro.smt import And, Bool, CheckResult, Implies, Not, Optimize, Or, Real, RealVal, Sum
+from repro.resilience.budget import check_budget
+from repro.smt import Bool, CheckResult, Implies, Not, Optimize, Or, Real, RealVal, Sum
+from repro.smt.rational import to_fraction
 
 #: Objective maximizing the (log) circuit fidelity, Eq. (8).
 OBJECTIVE_FIDELITY = "fidelity"
@@ -237,7 +247,62 @@ class AdaptationModel:
 
     # ------------------------------------------------------------------
     def solve(self) -> ModelSolution:
-        """Build (if necessary) and solve the model, returning the assignment."""
+        """Solve the model: SAT_F exactly per block, SAT_R/SAT_P by OMT."""
+        if self.objective == OBJECTIVE_FIDELITY:
+            return self._solve_fidelity_exact()
+        return self.solve_omt()
+
+    def _solve_fidelity_exact(self) -> ModelSolution:
+        """The Eq. (8) optimum, one maximum-weight conflict-free set per block.
+
+        Sums run over :func:`~repro.smt.rational.to_fraction` of the same
+        floats the OMT encoding reads, so where both pick the same set the
+        durations, log-fidelities and objective value are bit-identical.
+        """
+        by_block: Dict[int, List[Substitution]] = {}
+        for substitution in self.substitutions:
+            by_block.setdefault(substitution.block_index, []).append(substitution)
+
+        chosen_ids = set()
+        durations: Dict[int, float] = {}
+        fidelities: Dict[int, float] = {}
+        objective = Fraction(0)
+        candidates = nodes = 0
+        for preprocessed_block in self.preprocessed.blocks:
+            check_budget("exact.block")
+            index = preprocessed_block.index
+            picked, searched, visited = _max_weight_conflict_free(by_block.get(index, []))
+            candidates += searched
+            nodes += visited
+            duration = to_fraction(preprocessed_block.reference_duration)
+            log_fidelity = to_fraction(preprocessed_block.reference_log_fidelity)
+            for substitution in picked:
+                chosen_ids.add(substitution.identifier)
+                duration += to_fraction(substitution.duration_delta)
+                log_fidelity += to_fraction(substitution.log_fidelity_delta)
+            durations[index] = float(duration)
+            fidelities[index] = float(log_fidelity)
+            objective += log_fidelity
+        starts, total_duration = self._critical_path_schedule(durations)
+        return ModelSolution(
+            chosen_substitutions=[
+                s for s in self.substitutions if s.identifier in chosen_ids
+            ],
+            objective_value=float(objective),
+            block_durations=durations,
+            block_log_fidelities=fidelities,
+            block_start_times=starts,
+            total_duration=total_duration,
+            statistics={
+                "optimality": "proven",
+                "blocks": len(self.preprocessed.blocks),
+                "candidates": candidates,
+                "search_nodes": nodes,
+            },
+        )
+
+    def solve_omt(self) -> ModelSolution:
+        """Build (if necessary) and solve the OMT model, returning the assignment."""
         if self._optimizer is None:
             self.build()
         optimizer = self._optimizer
@@ -300,3 +365,51 @@ class AdaptationModel:
                 starts[index] = 0.0
                 finish[index] = duration
         return starts, max(finish.values(), default=0.0)
+
+
+def _max_weight_conflict_free(
+    substitutions: Sequence[Substitution],
+) -> Tuple[List[Substitution], int, int]:
+    """Conflict-free subset of one block's candidates with the largest
+    summed ``log_fidelity_delta``.
+
+    Branch-and-bound over the candidates with a strictly positive delta,
+    heaviest first (ties by identifier), each taken before it is left out;
+    a branch is cut once its value plus the remaining suffix sum cannot beat
+    the incumbent, and only a strictly better set replaces the incumbent.
+    Returns the chosen candidates, the number searched and the search nodes.
+    """
+    items = []
+    for substitution in substitutions:
+        weight = to_fraction(substitution.log_fidelity_delta)
+        if weight > 0:
+            items.append((weight, substitution))
+    items.sort(key=lambda item: (-item[0], item[1].identifier))
+    count = len(items)
+    weights = [weight for weight, _ in items]
+    masks = [
+        sum(1 << position for position in set(substitution.substituted_positions))
+        for _, substitution in items
+    ]
+    suffix = [Fraction(0)] * (count + 1)
+    for position in range(count - 1, -1, -1):
+        suffix[position] = suffix[position + 1] + weights[position]
+
+    best_value = Fraction(0)
+    best: Tuple[int, ...] = ()
+    nodes = 0
+
+    def visit(position: int, used: int, value: Fraction, taken: Tuple[int, ...]) -> None:
+        nonlocal best_value, best, nodes
+        nodes += 1
+        if value > best_value:
+            best_value, best = value, taken
+        if position == count or value + suffix[position] <= best_value:
+            return
+        if not masks[position] & used:
+            visit(position + 1, used | masks[position], value + weights[position],
+                  taken + (position,))
+        visit(position + 1, used, value, taken)
+
+    visit(0, 0, Fraction(0), ())
+    return [items[position][1] for position in best], count, nodes

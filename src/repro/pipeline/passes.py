@@ -94,7 +94,8 @@ class Pass:
 # Substitution-selection strategies (the technique-specific part of `solve`)
 # ---------------------------------------------------------------------------
 class SmtSelection:
-    """Globally optimal selection through the OMT model (SAT_F/R/P)."""
+    """Globally optimal selection through :meth:`AdaptationModel.solve`
+    (SAT_F exactly per block, SAT_R/P through the OMT model)."""
 
     def __init__(self, objective: str) -> None:
         self.objective = objective
@@ -284,7 +285,7 @@ class SolvePass(Pass):
     def counters(self, context: PassContext) -> Dict[str, float]:
         counters = {"chosen": float(len(context.chosen))}
         for key in ("improvement_rounds", "theory_checks", "sat_conflicts",
-                    "candidates", "accepted"):
+                    "candidates", "accepted", "search_nodes"):
             value = context.solver_statistics.get(key)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 counters[key] = float(value)

@@ -70,9 +70,13 @@ _FORWARD_TIMEOUT_SECONDS = 120.0
 _FORWARDED_HEADERS = (TRACE_HEADER, "X-Repro-Deadline", "Authorization",
                       "X-API-Key")
 
-#: Per-backend store statistics summed across shards in /metrics.
-_STORE_SUMMED = ("total_bytes", "entries", "hits", "misses", "puts",
-                 "evictions", "corrupted")
+#: Per-backend store counters summed across shards in /metrics: each
+#: shard process counts its own operations.
+_STORE_SUMMED = ("hits", "misses", "puts", "evictions", "corrupted")
+
+#: Per-backend store footprint taken once in /metrics: the shards share
+#: one store directory and each reports all of it.
+_STORE_SHARED = ("total_bytes", "entries")
 
 #: Submission resources routed by body fingerprint (prefix match for the
 #: suite-compile resource).
@@ -535,29 +539,7 @@ class ShardRouter:
                 "per_shard": documents,
             }
         else:
-            totals: Dict[str, float] = {}
-            stores: Dict[str, Dict[str, float]] = {}
-            for document in documents.values():
-                service = document.get("service") if isinstance(document, dict) else None
-                if not isinstance(service, dict):
-                    continue
-                for counter in _SUMMED_COUNTERS:
-                    value = service.get(counter)
-                    if isinstance(value, (int, float)):
-                        totals[counter] = totals.get(counter, 0) + value
-                # Per-backend store statistics.  Hit, miss and put
-                # counters are per process, so their sums are the
-                # cluster's; shards sharing one directory each report
-                # its full footprint, so entries and bytes over-count.
-                l2 = service.get("l2")
-                if isinstance(l2, dict):
-                    backend = str(l2.get("backend", "local_dir"))
-                    bucket = stores.setdefault(backend, {"shards": 0})
-                    bucket["shards"] += 1
-                    for field in _STORE_SUMMED:
-                        value = l2.get(field)
-                        if isinstance(value, (int, float)):
-                            bucket[field] = bucket.get(field, 0) + value
+            totals, stores = merge_shard_metrics(documents)
             merged = {
                 "shards": self.shards,
                 "aggregate": totals,
@@ -565,6 +547,40 @@ class ShardRouter:
                 "per_shard": documents,
             }
         return status, json.dumps(merged).encode()
+
+
+def merge_shard_metrics(
+    documents: Dict[str, object],
+) -> Tuple[Dict[str, float], Dict[str, Dict[str, float]]]:
+    """Merge per-shard JSON ``/metrics`` documents.
+
+    Returns the summed service counters and, per store backend, the
+    shard count, the summed operation counters and the shared footprint.
+    """
+    totals: Dict[str, float] = {}
+    stores: Dict[str, Dict[str, float]] = {}
+    for document in documents.values():
+        service = document.get("service") if isinstance(document, dict) else None
+        if not isinstance(service, dict):
+            continue
+        for counter in _SUMMED_COUNTERS:
+            value = service.get(counter)
+            if isinstance(value, (int, float)):
+                totals[counter] = totals.get(counter, 0) + value
+        l2 = service.get("l2")
+        if isinstance(l2, dict):
+            backend = str(l2.get("backend", "local_dir"))
+            bucket = stores.setdefault(backend, {"shards": 0})
+            bucket["shards"] += 1
+            for field in _STORE_SUMMED:
+                value = l2.get(field)
+                if isinstance(value, (int, float)):
+                    bucket[field] = bucket.get(field, 0) + value
+            for field in _STORE_SHARED:
+                value = l2.get(field)
+                if isinstance(value, (int, float)):
+                    bucket.setdefault(field, value)
+    return totals, stores
 
 
 class _RouterHandler(BaseHTTPRequestHandler):

@@ -13,6 +13,12 @@ when the strengthened problem becomes unsatisfiable; the best recorded model
 is optimal.  Termination follows from the finite number of Boolean
 skeletons, since each iteration rules out every skeleton whose optimum does
 not exceed the recorded value.
+
+How the loop stopped is reported as ``statistics()["optimality"]``:
+``proven`` when strengthening became unsatisfiable (or the objective was
+shown unbounded), ``capped`` when the round cap ran out first and
+``unknown`` when the SMT solver gave up.  Only
+``proven`` means the recorded value is the optimum.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ class Optimize:
         self._max_rounds = max_improvement_rounds
         self._best_model: Optional[Model] = None
         self.improvement_rounds = 0
+        #: How the last objective check stopped (see the module docstring).
+        self.optimality: Optional[str] = None
 
     # ------------------------------------------------------------------
     def add(self, *expressions: Expr) -> None:
@@ -122,6 +130,7 @@ class Optimize:
                     # Unbounded within this skeleton, hence unbounded globally.
                     self._objective.unbounded = True
                     self._best_model = self._solver.model()
+                    self.optimality = "proven"
                     return CheckResult.SAT
                 skeleton_best = optimum.value + working_expr.constant
                 bool_values = self._solver.model().bool_values()
@@ -142,12 +151,12 @@ class Optimize:
                 )
                 self._solver.add(improvement)
                 result = self._solver.check()
-                if result == CheckResult.UNSAT:
+                if result != CheckResult.SAT:
+                    self.optimality = (
+                        "proven" if result == CheckResult.UNSAT else "unknown")
                     self._finalize_objective(best_value)
                     return CheckResult.SAT
-                if result == CheckResult.UNKNOWN:
-                    self._finalize_objective(best_value)
-                    return CheckResult.SAT
+            self.optimality = "capped"
             self._finalize_objective(best_value)
             return CheckResult.SAT
         finally:
@@ -170,7 +179,10 @@ class Optimize:
         return self._best_model
 
     def statistics(self) -> dict:
-        """Return solver statistics (theory checks/conflicts, SAT counters, OMT rounds)."""
+        """Return solver statistics (theory checks/conflicts, SAT counters,
+        OMT rounds and, after an objective check, its ``optimality``)."""
         stats = self._solver.statistics()
         stats["improvement_rounds"] = self.improvement_rounds
+        if self.optimality is not None:
+            stats["optimality"] = self.optimality
         return stats

@@ -52,8 +52,15 @@ class TestCompile:
                                technique=technique)
         statistics = result.statistics
         assert statistics, f"{technique} reported no statistics"
-        if technique.startswith("sat_"):
+        if technique == "sat_f":
+            # SAT_F is solved exactly per block, not by the OMT loop.
+            assert statistics["optimality"] == "proven"
+            assert statistics["blocks"] >= 1
+            assert statistics["search_nodes"] >= statistics["blocks"]
+            assert "improvement_rounds" not in statistics
+        elif technique.startswith("sat_"):
             assert statistics["improvement_rounds"] >= 1
+            assert statistics["optimality"] in ("proven", "capped", "unknown")
         else:
             assert statistics["selection"] in ("greedy", "all", "none")
             assert "candidates" in statistics and "accepted" in statistics

@@ -94,6 +94,14 @@ class TestReportContents:
         result = repro.compile(probe_circuit(), spin_qubit_target(2), "sat_f",
                                use_cache=False)
         counters = result.report.stage("solve").counters
+        assert counters["candidates"] >= 1
+        assert counters["search_nodes"] >= 1
+        assert "improvement_rounds" not in counters
+
+    def test_omt_counters_surface_in_solve_stage(self):
+        result = repro.compile(probe_circuit(), spin_qubit_target(2), "sat_r",
+                               use_cache=False)
+        counters = result.report.stage("solve").counters
         assert counters["improvement_rounds"] >= 1
         assert counters["theory_checks"] >= 1
 

@@ -103,7 +103,9 @@ class TestSatTechniques:
         circuit = ghz_circuit(3)
         target = spin_qubit_target(3)
         result = repro.compile(circuit, target, "sat_f")
-        assert "theory_checks" in result.statistics
+        assert result.statistics["optimality"] == "proven"
+        assert result.statistics["blocks"] == 2
+        assert "search_nodes" in result.statistics
         assert result.objective_value is not None
 
 

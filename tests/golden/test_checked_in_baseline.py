@@ -58,6 +58,14 @@ class TestCoverage:
             assert entry is not None and not entry.expected_timeout, (
                 f"fast cell {benchmark}:{technique} must stay runnable")
 
+    def test_sat_f_cells_are_proven_optimal(self, baseline):
+        """SAT_F is solved exactly per block, so no cell is capped or
+        annotated expected_timeout."""
+        for benchmark in suite_names():
+            entry = baseline.get(benchmark, "sat_f")
+            assert not entry.expected_timeout, entry.key
+            assert entry.solver.get("optimality") == "proven", entry.key
+
     def test_provenance_is_recorded(self, baseline):
         assert baseline.provenance.get("updated_at")
         assert baseline.provenance.get("tool")

@@ -135,16 +135,19 @@ class TestGate:
 
 
 class TestTimeouts:
+    """Deadlines on ``toffoli_n3:sat_p``, whose OMT loop always outlasts
+    0.05 s (``sat_f`` cells are solved exactly within milliseconds)."""
+
     def test_unexpected_deadline_reports_missing(self, seeded, tmp_path):
         path = str(tmp_path / "with-sat.json")
         baseline = GoldenBaseline.load(seeded[0])
-        baseline.set(make_timeout_entry("toffoli_n3", "sat_f"))
+        baseline.set(make_timeout_entry("toffoli_n3", "sat_p"))
         # Pretend the annotation is a real entry so the deadline is
         # *unexpected*: strip the flag but keep the cell in the matrix.
-        baseline.get("toffoli_n3", "sat_f").expected_timeout = False
-        baseline.get("toffoli_n3", "sat_f").metrics = {"gate_count": 1.0}
+        baseline.get("toffoli_n3", "sat_p").expected_timeout = False
+        baseline.get("toffoli_n3", "sat_p").metrics = {"gate_count": 1.0}
         baseline.save(path)
-        report = run_golden(baseline_path=path, only=["toffoli_n3:sat_f"],
+        report = run_golden(baseline_path=path, only=["toffoli_n3:sat_p"],
                             cell_timeout=0.05)
         (verdict,) = report.comparison.verdicts
         assert verdict.status == "missing"
@@ -153,31 +156,31 @@ class TestTimeouts:
 
     def test_rebaseline_adopts_deadline_hits_as_annotations(self, tmp_path):
         path = str(tmp_path / "timeouts.json")
-        report = run_golden(baseline_path=path, only=["toffoli_n3:sat_f"],
+        report = run_golden(baseline_path=path, only=["toffoli_n3:sat_p"],
                             cell_timeout=0.05, rebaseline=True,
                             note="too slow here")
         (verdict,) = report.comparison.verdicts
         assert verdict.status == "skipped"
         assert report.exit_code == 0
         baseline = GoldenBaseline.load(path)
-        assert baseline.is_expected_timeout("toffoli_n3", "sat_f")
-        assert baseline.get("toffoli_n3", "sat_f").note == "too slow here"
+        assert baseline.is_expected_timeout("toffoli_n3", "sat_p")
+        assert baseline.get("toffoli_n3", "sat_p").note == "too slow here"
 
         # A later plain run skips the cell without compiling it.
-        again = run_golden(baseline_path=path, only=["toffoli_n3:sat_f"])
+        again = run_golden(baseline_path=path, only=["toffoli_n3:sat_p"])
         (verdict,) = again.comparison.verdicts
         assert verdict.status == "skipped"
         assert again.exit_code == 0
         assert again.elapsed_seconds < 1.0
 
         # --retry-timeouts with a sane budget replaces the annotation.
-        retried = run_golden(baseline_path=path, only=["toffoli_n3:sat_f"],
+        retried = run_golden(baseline_path=path, only=["toffoli_n3:sat_p"],
                              rebaseline=True, retry_timeouts=True,
                              cell_timeout=DEFAULT_CELL_TIMEOUT)
         assert retried.exit_code == 0
         baseline = GoldenBaseline.load(path)
-        assert not baseline.is_expected_timeout("toffoli_n3", "sat_f")
-        assert baseline.get("toffoli_n3", "sat_f").metrics["gate_count"] > 0
+        assert not baseline.is_expected_timeout("toffoli_n3", "sat_p")
+        assert baseline.get("toffoli_n3", "sat_p").metrics["gate_count"] > 0
 
 
 class TestReportAndTrace:

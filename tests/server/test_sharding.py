@@ -6,6 +6,41 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.server import ReproClient, ShardRouter
 
 
+class TestMetricsMerge:
+    """Pure ``/metrics`` merging — no processes spawned."""
+
+    @staticmethod
+    def shard_document(hits, puts):
+        return {"service": {
+            "workers": 2,
+            "l2": {"backend": "local_dir", "entries": 1, "total_bytes": 2392,
+                   "hits": hits, "misses": 1, "puts": puts},
+        }}
+
+    def test_shared_store_footprint_is_counted_once(self):
+        from repro.server.sharding import merge_shard_metrics
+
+        totals, stores = merge_shard_metrics({
+            "s0": self.shard_document(hits=0, puts=1),
+            "s1": self.shard_document(hits=3, puts=0),
+        })
+        assert totals["workers"] == 4
+        assert stores["local_dir"] == {
+            "shards": 2, "entries": 1, "total_bytes": 2392,
+            "hits": 3, "misses": 2, "puts": 1,
+        }
+
+    def test_unreachable_shards_are_skipped(self):
+        from repro.server.sharding import merge_shard_metrics
+
+        totals, stores = merge_shard_metrics({
+            "s0": self.shard_document(hits=1, puts=1),
+            "s1": {"error": "shard unreachable"},
+        })
+        assert stores["local_dir"]["shards"] == 1
+        assert stores["local_dir"]["entries"] == 1
+
+
 class TestRoutingRules:
     """Pure routing logic — no processes spawned."""
 

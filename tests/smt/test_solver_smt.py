@@ -218,8 +218,22 @@ class TestOptimize:
         handle = opt.maximize(x)
         assert opt.check() == CheckResult.SAT
         assert handle.unbounded
+        assert opt.statistics()["optimality"] == "proven"
         with pytest.raises(RuntimeError):
             handle.value()
+
+    @pytest.mark.parametrize("rounds, status", [(1, "capped"), (10000, "proven")])
+    def test_stop_status_reports_whether_the_optimum_was_proven(self, rounds, status):
+        gains = [Real(f"g{i}") for i in range(5)]
+        opt = Optimize(max_improvement_rounds=rounds)
+        for index, gain in enumerate(gains):
+            pick = Bool(f"p{index}")
+            opt.add(Implies(pick, gain.eq(RealVal(index + 1))),
+                    Implies(Not(pick), gain.eq(RealVal(0))))
+        handle = opt.maximize(Sum(gains))
+        assert opt.check() == CheckResult.SAT
+        assert opt.statistics()["optimality"] == status
+        assert (handle.value() == Fraction(15)) == (status == "proven")
 
     def test_only_one_objective_allowed(self):
         opt = Optimize()
